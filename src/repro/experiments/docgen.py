@@ -38,14 +38,6 @@ SECTION_TAGS = {
     "msgperf": "MSGPERF",
 }
 
-#: Specs whose bench wrapper file is not ``benchmarks/bench_<name>.py``.
-BENCH_WRAPPERS = {
-    "reliability_counter": "benchmarks/bench_reliability.py",
-    "reliability_giab": "benchmarks/bench_reliability.py",
-    "ablation_robustness": "benchmarks/bench_ablation_costs.py",
-    "xmldb_scaling": "benchmarks/bench_xmldb.py",
-}
-
 #: Hand-written prose per section, rendered below the measured table.
 NARRATIVES = {
     "fig2_hello_nosec": """\
@@ -58,16 +50,18 @@ by more than ~2.5× ("overwhelmingly equivalent ... implied performance").""",
     "fig3_hello_https": """\
 Paper: same axis (max 50) as Figure 2 — "Due to socket caching, HTTPS
 performance is much faster".  With TLS session resumption the per-op delta
-over Figure 2 is a few ms; the bench's cold-handshake ablation
-(`test_cold_handshake_would_dominate`) shows an uncached handshake would
-add ≈ 28 ms to every call.  All Figure 2 orderings are preserved.""",
+over Figure 2 is a few ms; the cold-handshake ablation
+(`test_without_session_resumption_https_is_not_cheap`) shows an uncached
+handshake would add ≈ 28 ms to every call.  All Figure 2 orderings are
+preserved.""",
     "fig4_hello_x509": """\
 Paper: 80–160 ms band, axis max 160.  Every op is ≥ 3× its no-security
 time ("the overhead of the security processing is so large that the
-performance differences ... fade") and the relative cross-stack gaps
-shrink under signing — both asserted against the Figure 2 record by the
-bench wrapper.  Signatures are real RSA/PKCS#1 over exclusive-c14n bytes
-(2 signatures + 2 verifications per round trip, trace-verified).
+performance differences ... fade"; asserted against the Figure 2 record
+by `tests/experiments/test_claims.py`) and the relative cross-stack gaps
+shrink under signing (the SCEN-6 `security_dominates` invariant).
+Signatures are real RSA/PKCS#1 over exclusive-c14n bytes (2 signatures +
+2 verifications per round trip, trace-verified).
 
 Deviation: our band sits slightly above the paper's (≈ 110–180 vs 80–160)
 because we charge the same RSA cost for request and response signing;
@@ -137,7 +131,7 @@ Each load-bearing cost-model entry perturbed ±50%, headline orderings
 re-checked: every cell must read 0 violations.  Create-vs-Set is excluded
 by design — WS-Transfer's Set pays read+update, so "Create is slowest"
 requires insert ≳ read+update (true for Xindice, flips if insert cost is
-halved); that sensitivity is pinned by its own bench test instead.""",
+halved); that sensitivity is pinned by its own test instead.""",
     "trace_spans": """\
 Per-stage breakdown of one signed distributed Get per stack, from the
 pipeline's TracingFilter — the Figure 1 stages made measurable.  The four
@@ -150,7 +144,7 @@ the pinned `db_query_base + per_doc × N` formula, the declared secondary
 index answers the same lookup O(hits) (flat across sizes, ≥ 10× cheaper
 at 1000 docs), and an expression no index covers reproduces the scan
 curve bit-identically — the planner's fallback guarantee.  Also published
-as `results/xmldb_scaling.{csv,json}`.""",
+as `results/xmldb_scaling.json`.""",
     "datagrid": """\
 A fixed replica-staging workload (3 registrations, 2 replications, 2
 stage-ins, catalog queries) through the ReplicaCatalog/DataTransfer pair
@@ -224,16 +218,12 @@ ABLATE experiment perturbs individual entries to show which results are
 calibration-robust.  All headline orderings survive any single-entry ±50%
 perturbation, with one documented exception: WS-Transfer's "Create slower
 than Set" requires insert ≳ read+update (true for Xindice, flips if
-insert cost is halved) — the bench pins that sensitivity explicitly.
+insert cost is halved) — a test pins that sensitivity explicitly.
 Mechanism ablations further show each paper observation disappears when
 its mechanism is disabled (no cache → no Set advantage; same delivery
 overhead → no Notify gap; no TLS resumption → HTTPS pays the handshake;
 free crypto → the X.509 figure collapses).
 """
-
-
-def bench_wrapper(spec: ExperimentSpec) -> str:
-    return BENCH_WRAPPERS.get(spec.name, f"benchmarks/bench_{spec.name}.py")
 
 
 def render_section(spec: ExperimentSpec, record) -> str:
@@ -245,7 +235,7 @@ def render_section(spec: ExperimentSpec, record) -> str:
         f"## {SECTION_TAGS[spec.name]} — {spec.title}",
         "",
         f"Spec: `{spec.name}` ({len(record.cells)} cells; gate: {gate_label}).",
-        f"Measurement: `{spec.source}`; bench wrapper: `{bench_wrapper(spec)}`.",
+        f"Measurement: `{spec.source}`.",
         "",
     ]
     if spec.to_figure is not None:

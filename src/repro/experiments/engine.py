@@ -196,5 +196,5 @@ class GridIncomplete(EngineError):
 
 
 def run_in_memory(spec: ExperimentSpec) -> RunRecord:
-    """One fresh, checkpoint-free run (what benches and gates use)."""
+    """One fresh, checkpoint-free run (what the gates and tests use)."""
     return ExperimentEngine(results_dir=".", persist=False).run(spec)

@@ -1,11 +1,10 @@
 """Every experiment in the repo, declared as a spec.
 
-One entry per legacy ``benchmarks/bench_*.py`` figure: the axes it
-sweeps, the measurement behind one cell, the shape invariants the paper
-claims, and how the recorded cells render back into the committed
-``results/*.csv`` / ``BENCH_*.json`` artifacts.  The bench scripts are
-thin wrappers over these specs; ``python -m repro experiments`` runs
-them; ``scripts/check.sh`` gates fresh runs against the records.
+One entry per figure or extension bench: the axes it sweeps, the
+measurement behind one cell, the shape invariants the paper claims, and
+how the recorded cells render back into the committed ``results/*.csv`` /
+``BENCH_*.json`` artifacts.  ``python -m repro experiments`` runs them;
+``scripts/check.sh`` gates fresh runs against the records.
 
 Figure builders always impose explicit row/column orders — cell payloads
 round-trip through sorted-key JSON, so insertion order is *not*
@@ -1095,13 +1094,8 @@ def _xmldb_figure(record: RunRecord) -> dict:
 def _xmldb_artifacts(record: RunRecord) -> dict[str, str]:
     import json
 
-    from repro.bench.report import figure_to_csv
-
     table = _xmldb_figure(record)
-    return {
-        "xmldb_scaling.csv": figure_to_csv(table),
-        "xmldb_scaling.json": json.dumps(table, indent=2, sort_keys=True) + "\n",
-    }
+    return {"xmldb_scaling.json": json.dumps(table, indent=2, sort_keys=True) + "\n"}
 
 
 def _xmldb_claims(record: RunRecord) -> list[str]:

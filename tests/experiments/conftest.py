@@ -1,8 +1,9 @@
 """Shared toy specs for the experiment-engine tests.
 
-The real registry specs are exercised by the bench wrappers; here a tiny
-deterministic spec (2 axes, 4 cells, pure arithmetic) keeps the engine /
-gate / CLI tests fast and lets them count measure() invocations.
+The real registry specs are gated against their committed records in
+``test_records.py`` and ``test_claims.py``; here a tiny deterministic
+spec (2 axes, 4 cells, pure arithmetic) keeps the engine / gate / CLI
+tests fast and lets them count measure() invocations.
 """
 
 from repro.experiments import Axis, ExperimentSpec, PairOrdering, Predicate

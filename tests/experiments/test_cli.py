@@ -4,11 +4,13 @@ Uses the registry's cheapest real spec (``spec_complexity``: 2 cells of
 pure counting) so the CLI paths run in milliseconds.
 """
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.experiments.cli import experiments_main
+from repro.experiments.cli import DEFAULT_RESULTS_DIR, experiments_main
 
 
 class TestList:
@@ -70,3 +72,16 @@ class TestRunAndCheck:
             == 0
         )
         assert "0 measured, 2 resumed" in capsys.readouterr().out
+
+
+def test_check_leaves_the_committed_results_untouched(capsys):
+    def snapshot():
+        return {
+            str(path): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in Path(DEFAULT_RESULTS_DIR).rglob("*")
+            if path.is_file()
+        }
+
+    before = snapshot()
+    assert experiments_main(["--check", "spec_complexity"]) == 0
+    assert snapshot() == before

@@ -1,4 +1,4 @@
-"""Smoke tests: every example and the figure CLI stay runnable."""
+"""Smoke tests: every example and the ``python -m repro`` dispatch stay runnable."""
 
 import importlib
 import io
@@ -16,6 +16,8 @@ EXAMPLES = [
     "figure5_sequence",
     "schema_discovery",
     "lossy_network",
+    "stack_comparison",
+    "replica_staging",
 ]
 
 
@@ -73,16 +75,36 @@ class TestCli:
             code = main(list(args))
         return code, buffer.getvalue()
 
-    def test_fig2(self):
-        code, out = self.run_cli("fig2")
+    def test_fig2(self, tmp_path):
+        code, out = self.run_cli(
+            "experiments", "--run", "fig2_hello_nosec", "--results", str(tmp_path),
+        )
         assert code == 0
         assert "Figure 2" in out and "WSRF.NET" in out
 
-    def test_multiple_figures(self):
-        code, out = self.run_cli("fig2", "fig4")
+    def test_multiple_figures(self, tmp_path):
+        code, out = self.run_cli(
+            "experiments", "--run", "fig2_hello_nosec", "fig4_hello_x509",
+            "--results", str(tmp_path),
+        )
         assert code == 0
         assert "Figure 2" in out and "Figure 4" in out
+
+    def test_conformance_is_routed(self, tmp_path):
+        code, out = self.run_cli(
+            "conformance", "--seeds", "1", "--giab-seeds", "0",
+            "--datagrid-seeds", "0", "--out", str(tmp_path),
+        )
+        assert code == 0
+        assert "conformance: 1 programs" in out
 
     def test_unknown_figure_exits_nonzero(self):
         code, _ = self.run_cli("fig99")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [[], ["fig2"], ["hello"], ["loadgen", "--smoke"]])
+    def test_only_two_commands_are_dispatched(self, argv, capsys):
+        from repro.__main__ import main
+
+        assert main(argv) == 2
+        assert "usage: python -m repro {experiments|conformance}" in capsys.readouterr().err
