@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.addressing.epr import EndpointReference
 from repro.container.security import Credentials
 from repro.pipeline import PipelineContext
-from repro.sim.kernel import Acquire, Release, Work, drive_inline
+from repro.sim.kernel import Acquire, Release, Work
 from repro.sim.network import Host
 from repro.xmllib.element import XmlElement
 
@@ -58,16 +58,7 @@ class SoapClient:
         task = self.invoke_task(
             epr, action, body, reply_to=reply_to, rm_stamp=rm_stamp,
         )
-        kernel = getattr(self.network, "kernel", None)
-        if kernel is not None and kernel.can_run_sync:
-            # The single-request fast path: eager stages, direct charging —
-            # bit-identical to the pre-kernel inline execution.
-            return kernel.run_sync(task)
-        # No kernel, or we are already inside a kernel stage (a server
-        # out-call nested in `container.handle`): run inline.  Nested
-        # out-calls must not re-enter the pools — their cost is part of
-        # the enclosing request's service stage.
-        return drive_inline(task)
+        return self.network.kernel.run_sync(task)
 
     def invoke_task(
         self,
@@ -85,8 +76,9 @@ class SoapClient:
         pool), response wire leg + client inbound pipeline.  Under the
         kernel's concurrent regime each stage's cost elapses as one
         schedulable delay, so overlapping requests interleave between
-        stages; under the eager drivers the stages run back-to-back and
-        the charge order is exactly the legacy serial order.
+        stages; under :meth:`~repro.sim.kernel.Kernel.run_sync` the stages
+        run back-to-back and the charge order is exactly the legacy
+        serial order.
         """
         ctx = PipelineContext.client_request(
             self.deployment, self.credentials, epr, action, body,

@@ -23,26 +23,20 @@ from repro.sim.faults import (
 )
 from repro.sim.kernel import (
     Acquire,
-    Channel,
     Delay,
     Effect,
     Kernel,
-    Recv,
     Release,
-    Send,
     Task,
     Work,
     WorkerPool,
-    drive_inline,
 )
 from repro.sim.metrics import (
     MetricsRecorder,
     OperationTrace,
-    QueueDepthMeter,
     SampleSet,
     Span,
     SpanRecorder,
-    merge_sample_sets,
     percentile,
 )
 from repro.sim.network import Host, Network, TransportKind
@@ -66,21 +60,15 @@ __all__ = [
     "Effect",
     "Delay",
     "Work",
-    "Send",
-    "Recv",
     "Acquire",
     "Release",
-    "Channel",
     "WorkerPool",
-    "drive_inline",
     "MetricsRecorder",
     "OperationTrace",
     "Span",
     "SpanRecorder",
     "SampleSet",
-    "QueueDepthMeter",
     "percentile",
-    "merge_sample_sets",
     "Host",
     "Network",
     "TransportKind",

@@ -36,6 +36,8 @@ class Timer:
 
     fire_at: float
     seq: int
+    #: The clock's heap entry ``[fire_at, seq, callback]``.
+    _entry: list = field(repr=False, compare=False)
 
 
 @dataclass
@@ -57,8 +59,10 @@ class Clock:
 
     def __init__(self, start: float = 0.0, seed: int = 0) -> None:
         self._now = float(start)
-        self._heap: list[tuple[float, int, Callable[[], None]]] = []
-        self._cancelled: set[int] = set()
+        #: Deadline heap of ``[fire_at, seq, callback]`` entries; firing or
+        #: cancelling a timer clears its callback, and cleared entries are
+        #: dropped as they surface.
+        self._heap: list[list] = []
         self._seq = itertools.count()
         #: Non-None while a kernel stage runs with deferred charging.
         self._deferred: DeferredCharges | None = None
@@ -118,10 +122,11 @@ class Clock:
                 f"clock cannot move backwards ({deadline} < {self._now})"
             )
         while self._heap and self._heap[0][0] <= deadline:
-            fire_at, seq, callback = heapq.heappop(self._heap)
-            if seq in self._cancelled:
-                self._cancelled.discard(seq)
+            entry = heapq.heappop(self._heap)
+            fire_at, _seq, callback = entry
+            if callback is None:
                 continue
+            entry[2] = None
             self._now = max(self._now, fire_at)
             callback()
         self._now = max(self._now, deadline)
@@ -155,24 +160,24 @@ class Clock:
         A deadline in the past fires on the next advance (immediately at the
         current instant), never retroactively.
         """
-        seq = next(self._seq)
-        heapq.heappush(self._heap, (max(fire_at, self.now), seq, callback))
-        return Timer(fire_at, seq)
+        entry = [max(fire_at, self.now), next(self._seq), callback]
+        heapq.heappush(self._heap, entry)
+        return Timer(fire_at, entry[1], entry)
 
     def schedule_after(self, delay_ms: float, callback: Callable[[], None]) -> Timer:
         return self.schedule(self.now + delay_ms, callback)
 
     def cancel(self, timer: Timer) -> None:
-        """Cancel a scheduled timer (idempotent; firing is skipped)."""
-        self._cancelled.add(timer.seq)
+        """Cancel a scheduled timer (idempotent; firing is skipped, and
+        cancelling a timer that already fired is a no-op)."""
+        timer._entry[2] = None
 
     def next_timer_at(self) -> float | None:
         """Deadline of the earliest live timer, or None when idle."""
-        while self._heap and self._heap[0][1] in self._cancelled:
-            _, seq, _ = heapq.heappop(self._heap)
-            self._cancelled.discard(seq)
+        while self._heap and self._heap[0][2] is None:
+            heapq.heappop(self._heap)
         return self._heap[0][0] if self._heap else None
 
     def pending_timers(self) -> int:
         """Number of live (not yet fired, not cancelled) timers."""
-        return sum(1 for _, seq, _ in self._heap if seq not in self._cancelled)
+        return sum(1 for entry in self._heap if entry[2] is not None)

@@ -12,9 +12,8 @@ leaving every single-request cost ledger bit-identical (DESIGN.md §14):
   in deadline order — legacy timers and kernel events share one timeline.
 * **Tasks** — cooperative generators yielding :class:`Effect` values:
   :class:`Delay` sleeps virtual time, :class:`Work` runs a synchronous
-  stage and sleeps its measured cost, :class:`Send`/:class:`Recv` pass
-  values through :class:`Channel` rendezvous, :class:`Acquire`/
-  :class:`Release` bracket a per-host worker slot.
+  stage and sleeps its measured cost, :class:`Acquire`/:class:`Release`
+  bracket a per-host worker slot.
 * **Worker pools** — each simulated host serves requests from a bounded
   FIFO queue with ``workers`` slots.  Queueing delay (enqueue → grant) is
   measured separately from service time, which is charged only *after*
@@ -25,14 +24,15 @@ leaving every single-request cost ledger bit-identical (DESIGN.md §14):
   ad-hoc ``clock.schedule`` idiom (lint rule RPO14 now fences direct
   clock/timer mutation outside this module).
 
-Two execution regimes keep the goldens safe:
+Two drivers keep the goldens safe:
 
-* With **one live task** (or via :meth:`run_sync`, the single-request fast
-  path every :class:`~repro.container.client.SoapClient` uses when no
-  tasks are in flight) stages execute *eagerly*: charges advance the
-  clock immediately and timers fire mid-charge, exactly like the legacy
-  serial path — bit-identical by construction.
-* With **two or more live tasks** a stage runs under
+* :meth:`Kernel.run_sync` drives every
+  :class:`~repro.container.client.SoapClient` request.  Stages execute
+  *eagerly*: charges advance the clock immediately and timers fire
+  mid-charge, exactly like the legacy serial path — bit-identical by
+  construction.
+* :meth:`Kernel.run` steps *spawned* tasks.  With one live task a stage
+  still charges eagerly; with two or more it runs under
   :meth:`Clock.defer_charges`: its synchronous computation is virtually
   instantaneous, its accumulated cost becomes one :class:`Delay`, and
   other tasks' events interleave inside that window.  Per-category cost
@@ -46,28 +46,28 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Generator, Iterable
+from typing import Callable, Generator
 
-from repro.sim.clock import Clock, Timer
+from repro.sim.clock import Timer
 from repro.sim.errors import QueueFull, SimError
-from repro.sim.metrics import SampleSet, SpanRecorder
+from repro.sim.metrics import SpanRecorder
 from repro.sim.sanitizer import TIMER_HOST
 
 __all__ = [
     "Acquire",
-    "Channel",
     "Delay",
     "Effect",
     "Kernel",
     "QueueFull",
-    "Recv",
     "Release",
-    "Send",
     "Task",
     "Work",
     "WorkerPool",
-    "drive_inline",
 ]
+
+#: Size of a host's worker pool until :meth:`Kernel.configure_pool` resizes it.
+DEFAULT_WORKERS = 1
+DEFAULT_QUEUE_LIMIT = 16
 
 
 # -- effects -----------------------------------------------------------------
@@ -100,21 +100,6 @@ class Work(Effect):
 
     fn: Callable[[], object]
     label: str = ""
-
-
-@dataclass(frozen=True)
-class Send(Effect):
-    """Deposit ``value`` into ``channel`` (never blocks; FIFO buffered)."""
-
-    channel: "Channel"
-    value: object = None
-
-
-@dataclass(frozen=True)
-class Recv(Effect):
-    """Wait for the next value from ``channel`` (FIFO among waiters)."""
-
-    channel: "Channel"
 
 
 @dataclass(frozen=True)
@@ -168,27 +153,20 @@ class Task:
         return self.finished_at - self.scheduled_at
 
 
-class Channel:
-    """Unbounded FIFO rendezvous between tasks (Send never blocks)."""
-
-    def __init__(self, name: str = "chan") -> None:
-        self.name = name
-        self._buffer: deque = deque()
-        self._waiters: deque[Task] = deque()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Channel({self.name!r}, buffered={len(self._buffer)})"
-
-
 class WorkerPool:
     """A host's request servers: ``workers`` slots + a bounded FIFO queue.
 
     Service time is charged by the task *after* its :class:`Acquire` is
     granted (i.e. on dequeue); the time between enqueue and grant is the
-    queueing delay, recorded per pool in :attr:`waits` and on the task.
+    queueing delay, added to the waiting task's ``queueing_delay_ms``.
     """
 
-    def __init__(self, host: str, workers: int = 1, queue_limit: int = 16) -> None:
+    def __init__(
+        self,
+        host: str,
+        workers: int = DEFAULT_WORKERS,
+        queue_limit: int = DEFAULT_QUEUE_LIMIT,
+    ) -> None:
         if workers < 1:
             raise SimError(f"pool for {host!r} needs at least one worker")
         if queue_limit < 0:
@@ -200,8 +178,6 @@ class WorkerPool:
         self._queue: deque[tuple[Task, float]] = deque()
         #: High-water mark of the FIFO queue (the saturation signal).
         self.max_depth = 0
-        #: Queueing delays (enqueue → grant), one sample per queued grant.
-        self.waits = SampleSet()
         self.granted = 0
         self.rejected = 0
 
@@ -209,80 +185,21 @@ class WorkerPool:
     def depth(self) -> int:
         return len(self._queue)
 
-    def snapshot(self) -> dict:
-        return {
-            "host": self.host,
-            "workers": self.workers,
-            "queue_limit": self.queue_limit,
-            "granted": self.granted,
-            "rejected": self.rejected,
-            "max_depth": self.max_depth,
-        }
-
-
-def drive_inline(gen: Generator) -> object:
-    """Run a staged task generator synchronously with no kernel at all.
-
-    The legacy execution model as a driver: :class:`Work` stages run
-    immediately (their charges advance the clock directly), pool and
-    channel effects are meaningless without a kernel — pools are skipped,
-    channels refused.  This is what a kernel-less
-    :class:`~repro.container.client.SoapClient` uses, and it is
-    bit-identical to the pre-kernel inline code path.
-    """
-    payload: object = None
-    thrown: BaseException | None = None
-    while True:
-        try:
-            effect = gen.throw(thrown) if thrown is not None else gen.send(payload)
-        except StopIteration as stop:
-            return stop.value
-        payload, thrown = None, None
-        if isinstance(effect, Work):
-            try:
-                payload = effect.fn()
-            except BaseException as exc:  # rethrown at the yield point
-                thrown = exc
-        elif isinstance(effect, Acquire):
-            payload = 0.0
-        elif isinstance(effect, Release):
-            payload = None
-        elif isinstance(effect, Delay):
-            raise SimError("Delay requires a kernel; inline tasks cannot sleep")
-        else:
-            raise SimError(f"inline driver cannot execute {type(effect).__name__}")
-
 
 class Kernel:
-    """The discrete-event engine owning one clock's concurrent timeline."""
+    """The discrete-event engine owning one network's concurrent timeline."""
 
-    def __init__(
-        self,
-        network=None,
-        clock: Clock | None = None,
-        *,
-        default_workers: int = 1,
-        default_queue_limit: int = 16,
-    ) -> None:
-        if clock is None:
-            if network is None:
-                raise SimError("Kernel needs a network or a clock")
-            clock = network.clock
+    def __init__(self, network) -> None:
         self.network = network
-        self.clock = clock
-        self.default_workers = default_workers
-        self.default_queue_limit = default_queue_limit
+        self.clock = network.clock
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = itertools.count()
         self._tid = itertools.count()
-        self.tasks: list[Task] = []
         #: Unfinished spawned tasks; 1 selects the eager (serial) regime.
         self._live = 0
         self.current: Task | None = None
         self._in_stage = False
         self._pools: dict[str, WorkerPool] = {}
-        #: Requests completed through :meth:`run_sync` (the fast path).
-        self.sync_requests = 0
 
     # -- worker pools --------------------------------------------------------
 
@@ -290,7 +207,7 @@ class Kernel:
         """The host's worker pool, created with the defaults on first use."""
         existing = self._pools.get(host)
         if existing is None:
-            existing = WorkerPool(host, self.default_workers, self.default_queue_limit)
+            existing = WorkerPool(host)
             self._pools[host] = existing
         return existing
 
@@ -298,9 +215,6 @@ class Kernel:
         """Size a host's pool before load arrives (replaces any default)."""
         self._pools[host] = WorkerPool(host, workers, queue_limit)
         return self._pools[host]
-
-    def pools(self) -> dict[str, WorkerPool]:
-        return dict(sorted(self._pools.items()))
 
     def max_queue_depths(self) -> dict[str, int]:
         """Per-host high-water queue depth (the saturation report)."""
@@ -324,7 +238,6 @@ class Kernel:
         """Schedule a task generator to start at ``at`` (default now+delay)."""
         start = self.clock.now + delay if at is None else at
         task = Task(gen=gen, name=name, tid=next(self._tid), scheduled_at=start)
-        self.tasks.append(task)
         self._live += 1
         self._post(start, lambda: self._begin(task))
         return task
@@ -343,10 +256,7 @@ class Kernel:
         """
 
         def fire() -> None:
-            if self.network is not None:
-                with self.network.sanitizer_scope(TIMER_HOST, f"kernel:{label}"):
-                    callback()
-            else:
+            with self.network.sanitizer_scope(TIMER_HOST, f"kernel:{label}"):
                 callback()
 
         return self.clock.schedule(fire_at, fire)
@@ -360,15 +270,6 @@ class Kernel:
         self.clock.cancel(timer)
 
     # -- the event loop ------------------------------------------------------
-
-    @property
-    def live_tasks(self) -> int:
-        return self._live
-
-    @property
-    def idle(self) -> bool:
-        """No events pending and no task mid-flight."""
-        return not self._heap and self.current is None
 
     def run(self, until: float | None = None) -> None:
         """Process events in ``(time, seq)`` order until the heap drains.
@@ -393,22 +294,10 @@ class Kernel:
         task.started_at = self.clock.now
         self._step(task, None, None)
 
-    def _swap_tracer(self, task: Task):
-        if self.network is None:
-            return None
-        metrics = self.network.metrics
-        previous = metrics.tracer
-        metrics.tracer = task.tracer
-        return (metrics, previous)
-
-    def _restore_tracer(self, swapped) -> None:
-        if swapped is not None:
-            metrics, previous = swapped
-            metrics.tracer = previous
-
     def _step(self, task: Task, payload, thrown: BaseException | None) -> None:
         previous_task, self.current = self.current, task
-        swapped = self._swap_tracer(task)
+        metrics = self.network.metrics
+        previous_tracer, metrics.tracer = metrics.tracer, task.tracer
         try:
             try:
                 effect = (
@@ -424,7 +313,7 @@ class Kernel:
                 return
             self._dispatch(task, effect)
         finally:
-            self._restore_tracer(swapped)
+            metrics.tracer = previous_tracer
             self.current = previous_task
 
     def _finish(self, task: Task, result, error: BaseException | None) -> None:
@@ -455,11 +344,6 @@ class Kernel:
         elif isinstance(effect, Release):
             self._release(self.pool(effect.host))
             self._resume_later(self.clock.now, task)
-        elif isinstance(effect, Send):
-            self._send(effect.channel, effect.value)
-            self._resume_later(self.clock.now, task)
-        elif isinstance(effect, Recv):
-            self._recv(task, effect.channel)
         else:
             self._resume_later(
                 self.clock.now, task,
@@ -503,7 +387,6 @@ class Kernel:
         if pool.busy < pool.workers:
             pool.busy += 1
             pool.granted += 1
-            pool.waits.add(0.0)
             self._resume_later(self.clock.now, task, payload=0.0)
             return
         if pool.depth >= pool.queue_limit:
@@ -523,52 +406,27 @@ class Kernel:
             wait = self.clock.now - enqueued_at
             waiter.queueing_delay_ms += wait
             pool.granted += 1
-            pool.waits.add(wait)
             self._resume_later(self.clock.now, waiter, payload=wait)
             return
         if pool.busy <= 0:
             raise SimError(f"release without acquire on pool {pool.host!r}")
         pool.busy -= 1
 
-    # -- channel mechanics ---------------------------------------------------
-
-    def _send(self, channel: Channel, value) -> None:
-        if channel._waiters:
-            waiter = channel._waiters.popleft()
-            self._resume_later(self.clock.now, waiter, payload=value)
-            return
-        channel._buffer.append(value)
-
-    def _recv(self, task: Task, channel: Channel) -> None:
-        if channel._buffer:
-            self._resume_later(self.clock.now, task, payload=channel._buffer.popleft())
-            return
-        channel._waiters.append(task)
-
-    # -- the single-request fast path ---------------------------------------
-
-    @property
-    def can_run_sync(self) -> bool:
-        """True when a synchronous request may execute eagerly: nothing is
-        in flight, so pool slots are guaranteed free and charge order is
-        exactly the legacy serial order."""
-        return self.current is None and not self._in_stage and self._live == 0
+    # -- the synchronous request driver ---------------------------------------
 
     def run_sync(self, gen: Generator) -> object:
         """Drive one request generator to completion, eagerly.
 
-        This is the single-request fast path: every stage charges the
-        clock directly (timers fire mid-charge), pool effects do immediate
-        bookkeeping (a busy pool here would mean concurrency, which
-        :attr:`can_run_sync` excludes), and the result/exception surfaces
-        synchronously.  Cost ledgers are bit-identical to the pre-kernel
-        inline path by construction.
+        Every stage charges the clock directly (timers fire mid-charge)
+        and the result or exception surfaces synchronously, so cost
+        ledgers are bit-identical to the pre-kernel inline path by
+        construction.  When nothing else is in flight the request takes
+        its worker slot (the pool is then guaranteed idle, so the grant
+        is immediate).  A request made inside a stage — a server out-call
+        nested in ``container.handle`` — or while spawned tasks are live
+        skips the pools: its cost belongs to whatever issued it.
         """
-        if not self.can_run_sync:
-            raise SimError(
-                "run_sync while tasks are in flight; spawn a task instead"
-            )
-        self._in_stage = False
+        pooled = self.current is None and not self._in_stage and self._live == 0
         held: list[WorkerPool] = []
         payload: object = None
         thrown: BaseException | None = None
@@ -579,34 +437,34 @@ class Kernel:
                         gen.throw(thrown) if thrown is not None else gen.send(payload)
                     )
                 except StopIteration as stop:
-                    self.sync_requests += 1
                     return stop.value
                 payload, thrown = None, None
                 if isinstance(effect, Work):
-                    self._in_stage = True
+                    outer, self._in_stage = self._in_stage, True
                     try:
                         payload = effect.fn()
                     except BaseException as exc:
                         thrown = exc
                     finally:
-                        self._in_stage = False
+                        self._in_stage = outer
                 elif isinstance(effect, Acquire):
-                    pool = self.pool(effect.host)
-                    if pool.busy >= pool.workers:
-                        thrown = SimError(
-                            f"pool {effect.host!r} busy during a synchronous request"
-                        )
-                    else:
-                        pool.busy += 1
-                        pool.granted += 1
-                        pool.waits.add(0.0)
-                        held.append(pool)
-                        payload = 0.0
+                    payload = 0.0
+                    if pooled:
+                        pool = self.pool(effect.host)
+                        if pool.busy >= pool.workers:
+                            thrown = SimError(
+                                f"pool {effect.host!r} busy during a synchronous request"
+                            )
+                        else:
+                            pool.busy += 1
+                            pool.granted += 1
+                            held.append(pool)
                 elif isinstance(effect, Release):
-                    pool = self.pool(effect.host)
-                    if pool in held:
-                        held.remove(pool)
-                    self._release(pool)
+                    if pooled:
+                        pool = self.pool(effect.host)
+                        if pool in held:
+                            held.remove(pool)
+                        self._release(pool)
                 elif isinstance(effect, Delay):
                     if effect.ms < 0:
                         thrown = SimError(f"cannot delay negative time: {effect.ms}")
@@ -622,16 +480,3 @@ class Kernel:
             # leak its worker slot.
             for pool in held:
                 self._release(pool)
-
-    # -- helpers -------------------------------------------------------------
-
-    def gather(self, tasks: Iterable[Task]) -> list[object]:
-        """Results of finished tasks, re-raising the first failure."""
-        results = []
-        for task in tasks:
-            if not task.done:
-                raise SimError(f"task {task.name!r} has not finished")
-            if task.error is not None:
-                raise task.error
-            results.append(task.result)
-        return results

@@ -149,8 +149,8 @@ def run_open_loop(
     (:class:`~repro.sim.errors.QueueFull`); any other task exception
     counts as ``failed`` with its type name recorded.
     """
-    metrics = kernel.network.metrics if kernel.network is not None else None
-    messages_before = metrics.total_messages if metrics is not None else 0
+    metrics = kernel.network.metrics
+    messages_before = metrics.total_messages
     tasks: list[Task] = [
         kernel.spawn(make_task(i), f"{name}-{i}", at=at)
         for i, at in enumerate(arrivals)
@@ -175,6 +175,5 @@ def run_open_loop(
         result.queueing.add(task.queueing_delay_ms)
         result.last_completion = max(result.last_completion, task.finished_at)
     result.max_queue_depth = kernel.max_queue_depths()
-    if metrics is not None:
-        result.messages = metrics.total_messages - messages_before
+    result.messages = metrics.total_messages - messages_before
     return result

@@ -186,7 +186,6 @@ class MetricsRecorder:
         self.total_bytes = 0
         self.time_by_category: Counter = Counter()
         self._active: OperationTrace | None = None
-        self.completed: list[OperationTrace] = []
         #: Per-message log, populated only while ``wire_log_enabled``.
         self.wire_log: list[WireLogEntry] = []
         self.wire_log_enabled = False
@@ -208,7 +207,6 @@ class MetricsRecorder:
             raise RuntimeError("no active operation trace")
         trace = self._active
         trace.ended_at = now
-        self.completed.append(trace)
         self._active = None
         return trace
 
@@ -255,11 +253,6 @@ class MetricsRecorder:
 
     # -- reporting -------------------------------------------------------------
 
-    def last(self) -> OperationTrace:
-        if not self.completed:
-            raise RuntimeError("no completed operation traces")
-        return self.completed[-1]
-
     def reset(self) -> None:
         self.__init__()
 
@@ -290,13 +283,11 @@ def percentile(samples: list[float], p: float) -> float:
 
 
 class SampleSet:
-    """An exact sample collection with percentile/mean/merge support.
+    """An exact sample collection with percentile/mean support.
 
     Load runs are small enough (thousands of requests) that exact
     quantiles beat approximate histograms — no bucketing error to explain
-    in a reproduction.  ``merge`` combines per-host sets into a fleet-wide
-    view; it concatenates rather than summarizes, so a merged set's
-    percentiles equal those of the pooled raw data.
+    in a reproduction.
     """
 
     def __init__(self, samples: list[float] | None = None) -> None:
@@ -325,18 +316,8 @@ class SampleSet:
             raise ValueError("max of an empty sample set")
         return max(self._samples)
 
-    @property
-    def min(self) -> float:
-        if not self._samples:
-            raise ValueError("min of an empty sample set")
-        return min(self._samples)
-
     def percentile(self, p: float) -> float:
         return percentile(self._samples, p)
-
-    def merge(self, other: "SampleSet") -> "SampleSet":
-        """A new set pooling this one's samples with ``other``'s."""
-        return SampleSet(self._samples + other._samples)
 
     def samples(self) -> list[float]:
         return list(self._samples)
@@ -354,52 +335,3 @@ class SampleSet:
             "max_ms": self.max,
         }
 
-
-def merge_sample_sets(per_host: dict[str, SampleSet]) -> SampleSet:
-    """Pool per-host sample sets into one fleet-wide set.
-
-    Hosts are merged in sorted-name order so the pooled sample list — and
-    anything derived from its insertion order — is deterministic.
-    """
-    merged = SampleSet()
-    for _host, samples in sorted(per_host.items()):
-        merged = merged.merge(samples)
-    return merged
-
-
-class QueueDepthMeter:
-    """Tracks a queue's occupancy over virtual time.
-
-    Records every transition, so besides the high-water mark it can report
-    the time-weighted average depth — the difference between "briefly
-    spiked to 10" and "sat at 10 for the whole run".
-    """
-
-    def __init__(self) -> None:
-        self.depth = 0
-        self.max_depth = 0
-        self._transitions: list[tuple[float, int]] = []
-
-    def record(self, now: float, depth: int) -> None:
-        if depth < 0:
-            raise ValueError(f"queue depth cannot be negative: {depth}")
-        self.depth = depth
-        self.max_depth = max(self.max_depth, depth)
-        self._transitions.append((now, depth))
-
-    def time_weighted_mean(self, until: float) -> float:
-        """Average depth over [first transition, ``until``]."""
-        if not self._transitions:
-            return 0.0
-        total = 0.0
-        start = self._transitions[0][0]
-        if until < start:
-            raise ValueError(f"until={until} precedes first transition at {start}")
-        for (at, depth), (next_at, _next_depth) in zip(
-            self._transitions, self._transitions[1:]
-        ):
-            total += depth * (next_at - at)
-        last_at, last_depth = self._transitions[-1]
-        total += last_depth * (until - last_at)
-        window = until - start
-        return total / window if window > 0 else float(self._transitions[-1][1])

@@ -14,6 +14,7 @@ from repro.apps.counter.deploy import (
     CounterScenario,
     build_wsrf_rig,
 )
+from repro.apps.giab.vo import CENTRAL_HOST, build_wsrf_vo
 from repro.container.security import SecurityMode
 from repro.wsrf.properties import actions as rp_actions
 from repro.xmllib import element, ns, text_of
@@ -136,12 +137,26 @@ class TestTwoClientInterleaving:
 class TestSerialPathThroughKernel:
     def test_plain_invoke_routes_via_run_sync(self):
         rig = build_rig()
-        kernel = rig.deployment.network.kernel
-        counted = kernel.sync_requests
+        pool = rig.deployment.network.kernel.pool(SERVER_HOST)
+        granted = pool.granted
         counter = rig.client.create(1)
         assert rig.client.get(counter) == 1
-        # create + get each round-tripped through the fast path.
-        assert kernel.sync_requests >= counted + 2
+        # create + get each took the server's worker slot in run_sync.
+        assert pool.granted == granted + 2
+
+    def test_nested_out_call_takes_no_worker_slot(self):
+        # getAvailableResources makes one server out-call to the
+        # reservation service from inside container.handle: two round
+        # trips on the wire, but only the top-level request takes a slot.
+        vo = build_wsrf_vo()
+        network = vo.deployment.network
+        pool = network.kernel.pool(CENTRAL_HOST)
+        granted = pool.granted
+        messages = network.metrics.total_messages
+        assert vo.client.get_available_resources("sort")
+        assert network.metrics.total_messages - messages == 4
+        assert pool.granted == granted + 1
+        assert pool.busy == 0
 
     def test_no_pool_state_leaks_after_serial_requests(self):
         rig = build_rig()

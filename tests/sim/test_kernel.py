@@ -4,22 +4,17 @@ import pytest
 
 from repro.sim import (
     Acquire,
-    Channel,
-    Clock,
     Delay,
-    Kernel,
+    Network,
     QueueFull,
-    Recv,
     Release,
-    Send,
     SimError,
     Work,
-    drive_inline,
 )
 
 
-def fresh_kernel(**overrides):
-    return Kernel(clock=Clock(), **overrides)
+def fresh_kernel():
+    return Network().kernel
 
 
 class TestScheduling:
@@ -101,22 +96,6 @@ class TestScheduling:
         spawned = kernel.spawn(task())
         kernel.run()
         assert isinstance(spawned.error, SimError)
-
-    def test_gather_reraises_first_failure(self):
-        kernel = fresh_kernel()
-
-        def ok():
-            yield Delay(1.0)
-            return 1
-
-        def bad():
-            yield Delay(2.0)
-            raise RuntimeError("boom")
-
-        tasks = [kernel.spawn(ok()), kernel.spawn(bad())]
-        kernel.run()
-        with pytest.raises(RuntimeError, match="boom"):
-            kernel.gather(tasks)
 
 
 class TestWorkStages:
@@ -302,47 +281,6 @@ class TestWorkerPools:
         assert waiter.latency_ms == 17.0  # 7 queued + 10 service
 
 
-class TestChannels:
-    def test_send_then_recv(self):
-        kernel = fresh_kernel()
-        chan = Channel("c")
-        got = []
-
-        def producer():
-            yield Delay(5.0)
-            yield Send(chan, "payload")
-
-        def consumer():
-            value = yield Recv(chan)
-            got.append((value, kernel.clock.now))
-
-        kernel.spawn(consumer())
-        kernel.spawn(producer())
-        kernel.run()
-        assert got == [("payload", 5.0)]
-
-    def test_buffered_send_does_not_block(self):
-        kernel = fresh_kernel()
-        chan = Channel("c")
-
-        def producer():
-            yield Send(chan, 1)
-            yield Send(chan, 2)
-            return "sent"
-
-        def late_consumer():
-            yield Delay(10.0)
-            first = yield Recv(chan)
-            second = yield Recv(chan)
-            return (first, second)
-
-        sender = kernel.spawn(producer())
-        receiver = kernel.spawn(late_consumer())
-        kernel.run()
-        assert sender.result == "sent"
-        assert receiver.result == (1, 2)
-
-
 class TestKernelTimers:
     def test_call_at_interleaves_with_tasks(self):
         kernel = fresh_kernel()
@@ -387,18 +325,58 @@ class TestRunSync:
         assert kernel.run_sync(request()) == "ok"
         assert kernel.clock.now == 5.0
         assert kernel.pool("h").busy == 0
-        assert kernel.sync_requests == 1
+        assert kernel.pool("h").granted == 1
 
-    def test_refused_while_tasks_live(self):
+    def test_request_from_a_timer_while_tasks_live_skips_the_pools(self):
+        # Spawned tasks own the pools; a request a timer issues meanwhile
+        # runs eagerly on the spot instead of queueing behind them.
         kernel = fresh_kernel()
+        seen = []
 
-        def task():
+        def background():
             yield Delay(10.0)
 
-        kernel.spawn(task())
-        assert not kernel.can_run_sync
-        with pytest.raises(SimError, match="in flight"):
-            kernel.run_sync(task())
+        def request():
+            wait = yield Acquire("h")
+            value = yield Work(lambda: kernel.clock.charge(4.0) or "ok")
+            yield Release("h")
+            return wait, value
+
+        def from_timer():
+            start = kernel.clock.now
+            seen.append((kernel.run_sync(request()), start, kernel.clock.now))
+
+        kernel.spawn(background())
+        kernel.call_at(5.0, from_timer)
+        kernel.run()
+        assert seen == [((0.0, "ok"), 5.0, 9.0)]
+        assert kernel.clock.now == 10.0
+        pool = kernel.pool("h")
+        assert pool.granted == 0 and pool.busy == 0
+
+    def test_request_inside_a_stage_skips_the_pools(self):
+        # A server out-call: the outer request holds the only worker, and
+        # every request its stage makes runs inline without a slot — the
+        # second one too, so leaving a nested stage must restore the
+        # outer stage's flag rather than clear it.
+        kernel = fresh_kernel()
+
+        def inner():
+            yield Acquire("h")
+            value = yield Work(lambda: kernel.clock.charge(3.0) or 9)
+            yield Release("h")
+            return value
+
+        def outer():
+            yield Acquire("h")
+            value = yield Work(lambda: (kernel.run_sync(inner()), kernel.run_sync(inner())))
+            yield Release("h")
+            return value
+
+        assert kernel.run_sync(outer()) == (9, 9)
+        assert kernel.clock.now == 6.0
+        pool = kernel.pool("h")
+        assert pool.granted == 1 and pool.busy == 0
 
     def test_abandoned_request_releases_its_worker(self):
         kernel = fresh_kernel()
@@ -419,27 +397,6 @@ class TestRunSync:
 
         with pytest.raises(ValueError, match="bad"):
             kernel.run_sync(request())
-
-
-class TestDriveInline:
-    def test_runs_stages_with_no_kernel(self):
-        clock = Clock()
-
-        def request():
-            yield Acquire("h")  # bookkeeping-free without a kernel
-            value = yield Work(lambda: clock.charge(3.0) or 9)
-            yield Release("h")
-            return value
-
-        assert drive_inline(request()) == 9
-        assert clock.now == 3.0
-
-    def test_delay_requires_a_kernel(self):
-        def request():
-            yield Delay(1.0)
-
-        with pytest.raises(SimError, match="requires a kernel"):
-            drive_inline(request())
 
 
 class TestDeterminism:

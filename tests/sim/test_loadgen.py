@@ -1,8 +1,10 @@
 """Open-loop load generation: arrival processes and the run driver."""
 
+import weakref
+
 import pytest
 
-from repro.sim import Acquire, Clock, Delay, Kernel, Release, SimError
+from repro.sim import Acquire, Delay, Network, Release, SimError
 from repro.sim.loadgen import ARRIVAL_PROCESSES, arrival_times, run_open_loop
 
 
@@ -56,7 +58,7 @@ class TestArrivalTimes:
 
 class TestRunOpenLoop:
     def run(self, arrivals, make_task, **pool):
-        kernel = Kernel(clock=Clock())
+        kernel = Network().kernel
         if pool:
             kernel.configure_pool("h", **pool)
         result = run_open_loop(kernel, arrivals, make_task, offered_per_sec=10.0)
@@ -136,6 +138,25 @@ class TestRunOpenLoop:
         assert summary["completed"] == 0
         assert summary["latency"] == {"count": 0}
         assert summary["throughput_per_sec"] == 0.0
+
+    def test_finished_tasks_are_not_retained(self):
+        # The kernel keeps no record of spawned tasks: once the run is
+        # reported, a finished task and its span tree can be freed.
+        refs = []
+
+        def make_task(i):
+            def request():
+                refs.append(weakref.ref(kernel.current))
+                yield Delay(1.0)
+                return i
+
+            return request()
+
+        kernel = Network().kernel
+        result = run_open_loop(kernel, [0.0, 5.0], make_task)
+        assert result.completed == 2
+        assert len(refs) == 2
+        assert [ref() for ref in refs] == [None, None]
 
 
 class TestRigDeterminism:

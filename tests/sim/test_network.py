@@ -192,11 +192,10 @@ class TestMetrics:
 
     def test_last_trace(self, net):
         net.metrics.begin("x", 0)
-        net.metrics.end(1)
-        assert net.metrics.last().name == "x"
-        net.metrics.reset()
+        trace = net.metrics.end(1)
+        assert (trace.name, trace.elapsed_ms) == ("x", 1)
         with pytest.raises(RuntimeError):
-            net.metrics.last()
+            net.metrics.end(2)
 
 
 class TestCostModel:

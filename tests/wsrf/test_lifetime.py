@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.sim import Network
 from repro.soap import SoapFault
-from repro.wsrf import RESOURCE_ID
+from repro.wsrf import RESOURCE_ID, ResourceHome
 from repro.wsrf.lifetime import actions, parse_termination_time
 from repro.wsrf.properties import actions as rp_actions
 from repro.xmllib import element
@@ -147,3 +148,24 @@ class TestParseTerminationTime:
     def test_invalid_raises_fault(self):
         with pytest.raises(SoapFault):
             parse_termination_time("later")
+
+
+class TestFiredTerminations:
+    def test_clock_keeps_no_state_for_fired_terminations(self):
+        # A firing termination cancels its own timer on the way out; that
+        # cancel must be a no-op, not one leaked clock entry per lease.
+        network = Network()
+        home = ResourceHome("leases", network)
+        clock = network.clock
+        for _ in range(100):
+            key = home.create(element(f"{{{NS}}}Lease"))
+            home.set_termination_time(key, clock.now + 10.0)
+        network.kernel.run(until=clock.now + 1000.0)
+        assert home.keys() == []
+        assert clock.pending_timers() == 0
+        leftovers = {
+            name: value
+            for name, value in vars(clock).items()
+            if isinstance(value, (list, set, dict)) and value
+        }
+        assert leftovers == {}
