@@ -37,11 +37,9 @@ def span_tree(mode: SecurityMode) -> None:
     rig = build_wsrf_rig(CounterScenario(mode=mode, colocated=False))
     counter = rig.client.create(5)
     rig.client.get(counter)  # warm connections
-    tracer = rig.deployment.network.metrics.tracer
-    tracer.clear()
-    rig.client.get(counter)
+    trace = measure_virtual(rig.deployment, "Get", lambda: rig.client.get(counter))
     print(f"the same Get as a span tree ({mode.value} mode):")
-    print(format_span_tree(tracer.last_root()))
+    print(format_span_tree(trace.spans[-1]))
     print()
 
 

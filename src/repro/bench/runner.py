@@ -12,8 +12,8 @@ def measure_virtual(deployment: Deployment, name: str, operation: Callable[[], o
     """Run ``operation`` bracketed by the metrics recorder.
 
     Returns the full trace: virtual elapsed ms, message/byte counts,
-    signatures, db ops and per-category time — everything the analysis
-    sections of the paper reason about.
+    signatures, db ops, per-category time, span trees and wire log —
+    everything the analysis sections of the paper reason about.
     """
     network = deployment.network
     network.metrics.begin(name, network.clock.now)

@@ -13,9 +13,11 @@ from repro.apps.counter.deploy import (
     build_transfer_rig,
     build_wsrf_rig,
 )
+from repro.bench.runner import measure_virtual
 from repro.container.security import SecurityMode
 from repro.sim.costs import CostModel
 from repro.sim.metrics import Span
+
 
 def trace_round_trip(
     stack: str, mode: SecurityMode = SecurityMode.X509, *, colocated: bool = False
@@ -27,21 +29,16 @@ def trace_round_trip(
     """
     scenario = CounterScenario(mode, colocated, CostModel())
     rig = build_wsrf_rig(scenario) if stack == "wsrf" else build_transfer_rig(scenario)
-    tracer = rig.deployment.network.metrics.tracer
     counter = rig.client.create(0)
     rig.client.get(counter)  # warm-up (connection caches), not recorded
-    trees: dict[str, Span] = {}
-
-    tracer.clear()
-    rig.client.get(counter)
-    trees["Get"] = tracer.last_root()
+    get = measure_virtual(rig.deployment, "Get", lambda: rig.client.get(counter))
+    trees: dict[str, Span] = {"Get": get.spans[-1]}
 
     rig.client.subscribe(counter, rig.consumer)
-    tracer.clear()
-    rig.client.set(counter, 5)
+    set_ = measure_virtual(rig.deployment, "Set", lambda: rig.client.set(counter, 5))
     # Delivery happens server-side, inside the Set's dispatch span — the
     # span tree records the nesting the paper's Figure 1 can only imply.
-    for root in tracer.roots:
+    for root in set_.spans:
         notify = root.find("notify.deliver")
         if notify is not None:
             trees["Notify"] = notify

@@ -143,8 +143,7 @@ Registry sizes 10/100/1000/5000 HostInfo documents: the scan path charges
 the pinned `db_query_base + per_doc × N` formula, the declared secondary
 index answers the same lookup O(hits) (flat across sizes, ≥ 10× cheaper
 at 1000 docs), and an expression no index covers reproduces the scan
-curve bit-identically — the planner's fallback guarantee.  Also published
-as `results/xmldb_scaling.json`.""",
+curve bit-identically — the planner's fallback guarantee.""",
     "datagrid": """\
 A fixed replica-staging workload (3 registrations, 2 replications, 2
 stage-ins, catalog queries) through the ReplicaCatalog/DataTransfer pair

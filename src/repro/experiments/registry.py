@@ -1091,13 +1091,6 @@ def _xmldb_figure(record: RunRecord) -> dict:
     }
 
 
-def _xmldb_artifacts(record: RunRecord) -> dict[str, str]:
-    import json
-
-    table = _xmldb_figure(record)
-    return {"xmldb_scaling.json": json.dumps(table, indent=2, sort_keys=True) + "\n"}
-
-
 def _xmldb_claims(record: RunRecord) -> list[str]:
     from repro.bench.xmldb import scan_cost_model
 
@@ -1128,7 +1121,6 @@ XMLDB_SCALING = ExperimentSpec(
         Predicate("xmldb_claims", "cost formula, flat index and planner fallback", fn=_xmldb_claims),
     ),
     to_figure=_xmldb_figure,
-    extra_artifacts=_xmldb_artifacts,
     source="repro.bench.xmldb.query_cost",
 )
 

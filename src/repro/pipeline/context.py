@@ -4,7 +4,7 @@ One :class:`PipelineContext` travels through a
 :class:`~repro.pipeline.chain.FilterChain` and carries everything any
 filter may need: the envelope and its wire form for both legs, the
 WS-Addressing headers, the authenticated sender, the cost ledger (via the
-deployment's network) and the span stack (via the metrics tracer).  The
+deployment's network) and the span stack (via the metrics recorder).  The
 same context type serves all three drivers — client invoke, container
 handle, notification delivery — which is what lets one filter implement a
 cross-cutting concern once instead of three times.
@@ -104,7 +104,7 @@ class PipelineContext:
 
     def span(self, name: str, detail: str = ""):
         """Open a trace span on the virtual clock (context manager)."""
-        return self.metrics.tracer.span(name, self.clock, detail)
+        return self.metrics.span(name, self.clock, detail)
 
     # -- deferred actions ------------------------------------------------------
 

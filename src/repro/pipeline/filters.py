@@ -53,9 +53,9 @@ class TracingFilter(BaseFilter):
 
     @staticmethod
     def _open(ctx: "PipelineContext", name: str) -> None:
-        tracer = ctx.metrics.tracer
-        span = tracer.push(name, ctx.clock.now)
-        ctx.defer(lambda: tracer.close(span, ctx.clock.now))
+        metrics = ctx.metrics
+        span = metrics.push(name, ctx.clock.now)
+        ctx.defer(lambda: metrics.close(span, ctx.clock.now))
 
 
 class ReliableMessagingFilter(BaseFilter):

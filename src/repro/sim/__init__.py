@@ -36,7 +36,6 @@ from repro.sim.metrics import (
     OperationTrace,
     SampleSet,
     Span,
-    SpanRecorder,
     percentile,
 )
 from repro.sim.network import Host, Network, TransportKind
@@ -66,7 +65,6 @@ __all__ = [
     "MetricsRecorder",
     "OperationTrace",
     "Span",
-    "SpanRecorder",
     "SampleSet",
     "percentile",
     "Host",

@@ -50,7 +50,7 @@ from typing import Callable, Generator
 
 from repro.sim.clock import Timer
 from repro.sim.errors import QueueFull, SimError
-from repro.sim.metrics import SpanRecorder
+from repro.sim.metrics import Span
 from repro.sim.sanitizer import TIMER_HOST
 
 __all__ = [
@@ -137,9 +137,10 @@ class Task:
     result: object = None
     error: BaseException | None = None
     done: bool = False
-    #: Per-task span recorder, swapped into the shared metrics while the
-    #: task runs so interleaved requests cannot corrupt each other's trees.
-    tracer: SpanRecorder = field(default_factory=SpanRecorder)
+    #: The task's own open-span stack, swapped into the shared recorder
+    #: while the task runs so interleaved requests cannot corrupt each
+    #: other's trees.
+    open_spans: list[Span] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -297,7 +298,7 @@ class Kernel:
     def _step(self, task: Task, payload, thrown: BaseException | None) -> None:
         previous_task, self.current = self.current, task
         metrics = self.network.metrics
-        previous_tracer, metrics.tracer = metrics.tracer, task.tracer
+        previous_spans, metrics.open_spans = metrics.open_spans, task.open_spans
         try:
             try:
                 effect = (
@@ -313,7 +314,7 @@ class Kernel:
                 return
             self._dispatch(task, effect)
         finally:
-            metrics.tracer = previous_tracer
+            metrics.open_spans = previous_spans
             self.current = previous_task
 
     def _finish(self, task: Task, result, error: BaseException | None) -> None:

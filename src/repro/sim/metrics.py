@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 
-@dataclass
+@dataclass(eq=False)
 class Span:
     """One node of a per-message trace tree, timed on the virtual clock.
 
@@ -21,7 +21,8 @@ class Span:
     pipeline's :class:`~repro.pipeline.filters.TracingFilter` opens one
     span per processing stage (``client.send``, ``server.receive``, ...),
     and nested stages — the server's whole handling runs inside the
-    client's invoke — become child spans.
+    client's invoke — become child spans.  Spans compare by identity:
+    two spans with equal fields are still different spans.
     """
 
     name: str
@@ -69,77 +70,6 @@ class Span:
         }
 
 
-class SpanRecorder:
-    """Builds nested :class:`Span` trees from push/pop bracketing.
-
-    One recorder is shared per :class:`MetricsRecorder`; because the
-    simulation is synchronous, a single open-span stack suffices — a
-    span opened while another is open is its child (the server's
-    processing nests inside the client's invoke).
-    """
-
-    def __init__(self) -> None:
-        #: Completed top-level spans, in completion order.
-        self.roots: list[Span] = []
-        self._stack: list[Span] = []
-
-    def push(self, name: str, now: float, detail: str = "") -> Span:
-        span = Span(name=name, started_at=now, detail=detail)
-        if self._stack:
-            self._stack[-1].children.append(span)
-        self._stack.append(span)
-        return span
-
-    def pop(self, now: float) -> Span:
-        if not self._stack:
-            raise RuntimeError("no open span to close")
-        span = self._stack.pop()
-        span.ended_at = now
-        if not self._stack:
-            self.roots.append(span)
-        return span
-
-    def close(self, span: Span, now: float) -> None:
-        """Close ``span``, first closing anything still open beneath it.
-
-        Used by the pipeline's deferred span closure: filters between the
-        push and the close open balanced child spans, but an exception may
-        abandon one — closing by identity keeps the tree well-formed.
-        """
-        if span not in self._stack:
-            return
-        while self._stack:
-            if self.pop(now) is span:
-                return
-
-    @contextmanager
-    def span(self, name: str, clock, detail: str = ""):
-        """Context manager bracketing one span on the virtual clock."""
-        opened = self.push(name, clock.now, detail)
-        try:
-            yield opened
-        finally:
-            # Close this span and anything left open beneath it (an
-            # exception mid-pipeline abandons inner spans).
-            while self._stack and self._stack[-1] is not opened:
-                self.pop(clock.now)
-            if self._stack and self._stack[-1] is opened:
-                self.pop(clock.now)
-
-    @property
-    def open_depth(self) -> int:
-        return len(self._stack)
-
-    def last_root(self) -> Span:
-        if not self.roots:
-            raise RuntimeError("no completed span trees")
-        return self.roots[-1]
-
-    def clear(self) -> None:
-        self.roots.clear()
-        self._stack.clear()
-
-
 @dataclass(frozen=True)
 class WireLogEntry:
     """One logged message: who sent what to whom, when (virtual ms)."""
@@ -166,6 +96,10 @@ class OperationTrace:
     db_ops: int = 0
     services_touched: set[str] = field(default_factory=set)
     time_by_category: Counter = field(default_factory=Counter)
+    #: Completed top-level span trees, in completion order.
+    spans: list[Span] = field(default_factory=list)
+    #: Every message sent, in send order.
+    wire_log: list[WireLogEntry] = field(default_factory=list)
 
     @property
     def elapsed_ms(self) -> float:
@@ -177,8 +111,10 @@ class MetricsRecorder:
 
     One recorder is shared per :class:`~repro.sim.network.Network`.  The
     benchmark harness brackets each measured client operation with
-    ``begin()/end()``; all events between the brackets are attributed to
-    that operation's :class:`OperationTrace`.
+    ``begin()/end()``; all events between the brackets — counts, completed
+    span trees, wire messages — are kept on that operation's
+    :class:`OperationTrace`.  Outside a bracket only the global totals
+    advance; nothing else is retained.
     """
 
     def __init__(self) -> None:
@@ -186,11 +122,11 @@ class MetricsRecorder:
         self.total_bytes = 0
         self.time_by_category: Counter = Counter()
         self._active: OperationTrace | None = None
-        #: Per-message log, populated only while ``wire_log_enabled``.
-        self.wire_log: list[WireLogEntry] = []
-        self.wire_log_enabled = False
-        #: Per-message trace-span trees (see :class:`SpanRecorder`).
-        self.tracer = SpanRecorder()
+        #: Currently open spans, innermost last.  A span opened while
+        #: another is open is its child (the server's processing nests
+        #: inside the client's invoke); the kernel swaps in each task's
+        #: own list while the task runs.
+        self.open_spans: list[Span] = []
 
     # -- operation bracketing ----------------------------------------------
 
@@ -209,6 +145,51 @@ class MetricsRecorder:
         trace.ended_at = now
         self._active = None
         return trace
+
+    # -- trace spans ---------------------------------------------------------
+
+    def push(self, name: str, now: float, detail: str = "") -> Span:
+        span = Span(name=name, started_at=now, detail=detail)
+        if self.open_spans:
+            self.open_spans[-1].children.append(span)
+        self.open_spans.append(span)
+        return span
+
+    def pop(self, now: float) -> Span:
+        if not self.open_spans:
+            raise RuntimeError("no open span to close")
+        span = self.open_spans.pop()
+        span.ended_at = now
+        if not self.open_spans and self._active is not None:
+            self._active.spans.append(span)
+        return span
+
+    def close(self, span: Span, now: float) -> None:
+        """Close ``span``, first closing anything still open beneath it.
+
+        Used by the pipeline's deferred span closure: filters between the
+        push and the close open balanced child spans, but an exception may
+        abandon one — closing by identity keeps the tree well-formed.
+        Closing a span that is no longer open does nothing.
+        """
+        if not any(open_span is span for open_span in self.open_spans):
+            return
+        while self.pop(now) is not span:
+            pass
+
+    @contextmanager
+    def span(self, name: str, clock, detail: str = ""):
+        """Context manager bracketing one span on the virtual clock; an
+        exception closes it and anything it abandoned beneath it."""
+        opened = self.push(name, clock.now, detail)
+        try:
+            yield opened
+        finally:
+            self.close(opened, clock.now)
+
+    @property
+    def open_depth(self) -> int:
+        return len(self.open_spans)
 
     # -- event hooks ---------------------------------------------------------
 
@@ -242,19 +223,16 @@ class MetricsRecorder:
         n_bytes: int,
         kind: str = "request",
     ) -> None:
-        """Record one message in the wire log (no-op unless enabled)."""
-        if self.wire_log_enabled:
-            self.wire_log.append(WireLogEntry(at, source, target, action, n_bytes, kind))
+        """Record one message in the active trace's wire log."""
+        if self._active is not None:
+            self._active.wire_log.append(
+                WireLogEntry(at, source, target, action, n_bytes, kind)
+            )
 
     def time_charged(self, ms: float, category: str) -> None:
         self.time_by_category[category] += ms
         if self._active is not None:
             self._active.time_by_category[category] += ms
-
-    # -- reporting -------------------------------------------------------------
-
-    def reset(self) -> None:
-        self.__init__()
 
 
 # -- load statistics ---------------------------------------------------------

@@ -156,34 +156,40 @@ class TestSimulatedFileSystem:
 
 class TestWireLog:
     def test_disabled_by_default(self):
+        # Messages are logged only inside a begin/end bracket; outside
+        # one the recorder keeps no entries anywhere.
         from repro.apps.counter import CounterScenario, build_wsrf_rig
 
         rig = build_wsrf_rig(CounterScenario())
+        metrics = rig.deployment.network.metrics
         rig.client.create(0)
-        assert rig.deployment.network.metrics.wire_log == []
+        assert metrics.total_messages > 0
+        lists = [value for value in vars(metrics).values() if isinstance(value, list)]
+        assert lists == [[]]  # only the (empty) open-span stack
 
     def test_logs_requests_responses_and_notifies(self):
         from repro.apps.counter import CounterScenario, build_wsrf_rig
 
         rig = build_wsrf_rig(CounterScenario())
-        metrics = rig.deployment.network.metrics
-        metrics.wire_log_enabled = True
+        network = rig.deployment.network
+        trace = network.metrics.begin("flow", network.clock.now)
         counter = rig.client.create(0)
         rig.client.subscribe(counter, rig.consumer)
         rig.client.set(counter, 1)
-        kinds = {entry.kind for entry in metrics.wire_log}
+        network.metrics.end(network.clock.now)
+        kinds = {entry.kind for entry in trace.wire_log}
         assert kinds == {"request", "response", "notify"}
-        requests = [e for e in metrics.wire_log if e.kind == "request"]
+        requests = [e for e in trace.wire_log if e.kind == "request"]
         assert all(e.source == "opteron1" for e in requests)  # co-located client
-        assert all(e.n_bytes > 0 for e in metrics.wire_log)
+        assert all(e.n_bytes > 0 for e in trace.wire_log)
 
     def test_entries_time_ordered(self):
         from repro.apps.counter import CounterScenario, build_wsrf_rig
+        from repro.bench.runner import measure_virtual
 
         rig = build_wsrf_rig(CounterScenario())
-        metrics = rig.deployment.network.metrics
-        metrics.wire_log_enabled = True
         counter = rig.client.create(0)
-        rig.client.get(counter)
-        times = [entry.at for entry in metrics.wire_log]
+        trace = measure_virtual(rig.deployment, "Get", lambda: rig.client.get(counter))
+        times = [entry.at for entry in trace.wire_log]
+        assert len(times) == 2
         assert times == sorted(times)

@@ -16,8 +16,10 @@ from repro.apps.counter.deploy import (
 )
 from repro.apps.giab.vo import CENTRAL_HOST, build_wsrf_vo
 from repro.container.security import SecurityMode
+from repro.sim.loadgen import run_open_loop
 from repro.wsrf.properties import actions as rp_actions
 from repro.xmllib import element, ns, text_of
+from tests.pipeline.test_trace_spans import SIGNED_ROUND_TRIP
 
 
 def build_rig():
@@ -122,16 +124,27 @@ class TestTwoClientInterleaving:
         assert fingerprint() == fingerprint()
 
     def test_span_trees_stay_well_formed_per_task(self):
-        # Each task records its spans on its own tracer; interleaving must
-        # not corrupt either tree (one root, the Figure-1 stage children).
-        run = concurrent_run()
-        for task in (run["first"], run["second"]):
-            assert task.tracer.open_depth == 0
-            assert len(task.tracer.roots) == 1
-            root = task.tracer.roots[0]
-            assert root.name == "client.invoke"
-            names = [span.name for _, span in root.walk()]
-            assert "wire.request" in names and "wire.response" in names
+        # Each task opens its spans on its own stack; interleaving must not
+        # corrupt any tree.  With a bracket open over an open-loop run the
+        # trace holds one Figure-1 tree per request.
+        rig = build_rig()
+        counter = rig.client.create(3)
+        network = rig.deployment.network
+        soap = rig.client.soap
+        arrivals = [network.clock.now + gap for gap in (0.0, 1.0, 2.0, 3.0)]
+        trace = network.metrics.begin("load", network.clock.now)
+        result = run_open_loop(
+            network.kernel, arrivals,
+            lambda i: soap.invoke_task(counter, rp_actions.GET, get_request()),
+        )
+        network.metrics.end(network.clock.now)
+        assert result.completed == 4
+        assert result.queueing.max > 0.0  # the requests really overlapped
+        assert network.metrics.open_depth == 0
+        assert [root.shape() for root in trace.spans] == [SIGNED_ROUND_TRIP] * 4
+        for root in trace.spans:
+            for _, span in root.walk():
+                assert root.started_at <= span.started_at <= span.ended_at <= root.ended_at
 
 
 class TestSerialPathThroughKernel:

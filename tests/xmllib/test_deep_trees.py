@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from repro.sim.metrics import SpanRecorder
+from repro.sim.metrics import MetricsRecorder
 from repro.xmllib import parse_xml, serialize
 from repro.xmllib.c14n import canonicalize
 from repro.xmllib.element import XmlElement, content_key, element
@@ -75,12 +75,13 @@ class TestDeepWalkers:
         leaf.children.pop()
 
     def test_span_walk(self):
-        recorder = SpanRecorder()
+        recorder = MetricsRecorder()
+        trace = recorder.begin("deep", 0.0)
         for i in range(DEPTH):
             recorder.push("level", float(i))
         for i in range(DEPTH):
             recorder.pop(float(DEPTH + i))
-        root = recorder.roots[0]
+        [root] = trace.spans
         walked = list(root.walk())
         assert len(walked) == DEPTH
         assert walked[-1][0] == DEPTH - 1
