@@ -1,7 +1,8 @@
 """Pure-Python WS-Security substrate.
 
 Implements the pieces Microsoft's WSE provided to the paper's testbed:
-RSA key generation (Miller-Rabin), PKCS#1 v1.5 signatures, X.509-style
+RSA key generation (Miller-Rabin), PKCS#1 v1.5 signatures (computed with
+the Chinese Remainder Theorem, fault-checked before release), X.509-style
 certificates with a small CA, and XML-DSig detached signatures computed over
 the exclusive canonical form from :mod:`repro.xmllib.c14n`.
 

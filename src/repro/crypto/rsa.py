@@ -2,6 +2,9 @@
 
 Only what WS-Security needs: keypair generation, ``sign``/``verify`` with
 EMSA-PKCS1-v1_5 encoding over SHA-1 (the 2004-era default) or SHA-256.
+Signing uses the Chinese Remainder Theorem (two half-size exponentiations
+mod ``p`` and ``q``) and checks its result against the public exponent
+before releasing it; the output is identical to textbook ``m^d mod n``.
 """
 
 from __future__ import annotations
@@ -72,11 +75,20 @@ _KEY_CACHE: dict[tuple[int, int | None], "RsaKeyPair"] = {}
 
 @dataclass(frozen=True)
 class RsaKeyPair:
-    """A full keypair; ``public`` strips the private exponent."""
+    """A full keypair with its CRT components; ``public`` strips them all.
+
+    ``dp``/``dq`` are ``d`` reduced mod ``p - 1``/``q - 1`` and ``qinv`` is
+    ``q^-1 mod p``.  ``d`` itself stays: the DSig signing cache keys on it.
+    """
 
     n: int
     e: int
     d: int
+    p: int
+    q: int
+    dp: int
+    dq: int
+    qinv: int
 
     @classmethod
     def generate(cls, bits: int = 1024, seed: int | None = None) -> "RsaKeyPair":
@@ -102,7 +114,10 @@ class RsaKeyPair:
             if n.bit_length() != bits:
                 continue
             d = pow(e, -1, phi)
-            keypair = cls(n=n, e=e, d=d)
+            keypair = cls(
+                n=n, e=e, d=d, p=p, q=q,
+                dp=d % (p - 1), dq=d % (q - 1), qinv=pow(q, -1, p),
+            )
             _KEY_CACHE[(bits, seed)] = keypair
             return keypair
 
@@ -115,8 +130,18 @@ class RsaKeyPair:
         return (self.n.bit_length() + 7) // 8
 
     def sign(self, message: bytes, hash_name: str = "sha1") -> bytes:
-        """EMSA-PKCS1-v1_5 signature over ``message``."""
+        """EMSA-PKCS1-v1_5 signature over ``message`` (RSA-CRT).
+
+        The result is verified with the public exponent before it is
+        returned: a faulty CRT half would otherwise emit a signature that
+        leaks a factor of ``n`` (Boneh-DeMillo-Lipton).
+        """
         k = self.byte_length
         em = _emsa_pkcs1_v15(message, k, hash_name)
         m = int.from_bytes(em, "big")
-        return pow(m, self.d, self.n).to_bytes(k, "big")
+        m1 = pow(m, self.dp, self.p)
+        m2 = pow(m, self.dq, self.q)
+        s = m2 + (m1 - m2) * self.qinv % self.p * self.q
+        if pow(s, self.e, self.n) != m:
+            raise SignatureError("RSA-CRT fault check failed; signature withheld")
+        return s.to_bytes(k, "big")

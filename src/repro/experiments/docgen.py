@@ -168,8 +168,9 @@ rate, and queue depth rises — the committed trajectory is
 The one wall-clock experiment (gate: shape): real elapsed time of the
 signed message path with the memoization layer on vs off.  The recorded
 numbers are machine-specific; the gate re-checks only the invariants —
-the soak speedup floor, bit-identical virtual costs with caching on/off,
-and cache hit counters.  The committed trajectory is
+the ≥5× soak speedup floor (the uncached baseline signs with RSA-CRT),
+bit-identical virtual costs with caching on/off, and the exact DSig cache
+hit/miss counts.  The committed trajectory is
 `results/BENCH_msgperf.json`.""",
 }
 

@@ -1,5 +1,7 @@
 """Unit and property tests for primes and RSA signatures."""
 
+import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -7,6 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import RsaKeyPair, SignatureError, generate_prime, is_probable_prime
+from repro.crypto.rsa import _emsa_pkcs1_v15
+
+#: SHA-256 of ``RsaKeyPair.generate(seed=7).sign(GOLDEN_MESSAGE)`` (the
+#: 1024-bit CA key, SHA-1 digest), recorded from textbook ``m^d mod n``
+#: signing.  Any change to the private-key path that alters output fails here.
+GOLDEN_MESSAGE = b"golden vector: OGSA grid signing"
+GOLDEN_SIGNATURE_SHA256 = "8754b0ca4c3b3937e50b991dfe61ac359a95f3c69a9ff23a585ce0b3a84fa940"
 
 
 # A small keypair generated once per test module: keygen is the slow part.
@@ -55,7 +64,16 @@ class TestKeyGeneration:
     def test_public_strips_private(self, keypair):
         pub = keypair.public
         assert pub.n == keypair.n and pub.e == keypair.e
-        assert not hasattr(pub, "d")
+        for private in ("d", "p", "q", "dp", "dq", "qinv"):
+            assert not hasattr(pub, private)
+
+    @pytest.mark.parametrize("bits,seed", [(512, 42), (1024, 7)])
+    def test_crt_components_consistent(self, bits, seed):
+        k = RsaKeyPair.generate(bits=bits, seed=seed)
+        assert k.p * k.q == k.n
+        assert k.dp == k.d % (k.p - 1)
+        assert k.dq == k.d % (k.q - 1)
+        assert k.qinv * k.q % k.p == 1
 
 
 class TestSignatures:
@@ -96,6 +114,28 @@ class TestSignatures:
     def test_unsupported_hash_rejected(self, keypair):
         with pytest.raises(SignatureError):
             keypair.sign(b"m", hash_name="md5")
+
+    def test_golden_signature_vector(self):
+        signature = RsaKeyPair.generate(seed=7).sign(GOLDEN_MESSAGE)
+        assert hashlib.sha256(signature).hexdigest() == GOLDEN_SIGNATURE_SHA256
+
+    def test_crt_fault_withholds_signature(self, keypair):
+        faulty = dataclasses.replace(keypair, dq=keypair.dq + 1)
+        with pytest.raises(SignatureError):
+            faulty.sign(b"m")
+
+    @given(
+        st.binary(max_size=256),
+        st.sampled_from([(512, 42), (1024, 7)]),
+        st.sampled_from(["sha1", "sha256"]),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_property_crt_equals_textbook(self, message, key, hash_name):
+        bits, seed = key
+        k = RsaKeyPair.generate(bits=bits, seed=seed)
+        em = int.from_bytes(_emsa_pkcs1_v15(message, k.byte_length, hash_name), "big")
+        textbook = pow(em, k.d, k.n).to_bytes(k.byte_length, "big")
+        assert k.sign(message, hash_name=hash_name) == textbook
 
     def test_fingerprint_stable_and_short(self, keypair):
         f1 = keypair.public.fingerprint()
