@@ -68,19 +68,19 @@ python -m repro experiments --smoke || status=1
 
 echo "== experiments regression gate =="
 # Re-measure experiment grids and compare against the committed records:
-# exact-gate specs must match bit-identically (which also proves a seeded
-# run reproduces itself; ordering flips, invariant violations and
-# >tolerance drift all fail); the shape-gated msgperf spec is re-checked
-# on its invariants.  The default subset covers the span tree, the xmldb
-# index, the datagrid staging sweep, the kernel's load trajectory and the
-# message-path caches.  --check-docs additionally fails when
-# EXPERIMENTS.md is stale; regenerate with:
+# every spec is gated the same way — its invariants must hold and every
+# leaf of every cell (numbers, strings, bools) must equal the record,
+# which also proves a seeded run reproduces itself.  The default subset
+# covers the span tree, the xmldb index, the datagrid staging sweep, the
+# kernel's load trajectory and the message-path cache counts (memo).
+# --check-docs additionally fails when EXPERIMENTS.md is stale;
+# regenerate with:
 #   python -m repro experiments --run all && python -m repro experiments --docs
 if [ "$soak" = 1 ]; then
     python -m repro experiments --soak --check-docs || status=1
 else
     python -m repro experiments \
-        --check trace_spans xmldb_scaling datagrid loadgen msgperf \
+        --check trace_spans xmldb_scaling datagrid loadgen memo \
         --check-docs || status=1
 fi
 

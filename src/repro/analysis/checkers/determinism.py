@@ -20,10 +20,9 @@ Sources detected:
 * iterating a set literal / ``set(...)`` directly (iteration order is
   hash-seed dependent; sort first)
 
-Severity is *error* when the enclosing function can reach the cost
-ledger (``Network.charge``/``MetricsRecorder``) or a comparator, or is
-reachable from a ``@web_method`` handler — that entropy lands in
-reported numbers.  Elsewhere it is a warning.
+Every finding is an *error*: no code under ``src/`` has a reason to
+read host entropy (the analyzer itself and the clock's seeded RNG are
+exempt), and wall-clock measurement lives outside it, in ``wallbench/``.
 """
 
 from __future__ import annotations
@@ -38,14 +37,6 @@ from repro.analysis.project import ProjectContext
 
 _TIME_ATTRS = frozenset({"time", "time_ns", "monotonic", "monotonic_ns", "perf_counter", "perf_counter_ns"})
 _DATETIME_ATTRS = frozenset({"now", "utcnow", "today"})
-
-#: Terminal qualname fragments that mark a cost-ledger / comparator sink.
-_SINK_MARKERS = (
-    "repro.sim.network.Network.charge",
-    "repro.sim.metrics.",
-    "repro.testkit.comparators.",
-)
-
 
 def _exempt(path: str) -> bool:
     # The analyzer runs offline; the clock module owns the seeded RNG.
@@ -67,43 +58,22 @@ class DeterminismChecker:
         project = module.project
         if not isinstance(project, ProjectContext):
             project = ProjectContext.single(module)
-        sinks = _sink_functions(project)
         for node, reason in _entropy_sites(module):
-            symbol, severity = _classify(project, module, node, sinks)
             yield Finding(
                 rule=self.rule_id,
                 path=module.path,
                 line=node.lineno,
                 col=node.col_offset,
-                symbol=symbol,
+                symbol=_symbol(project, module, node),
                 message=f"{reason}; runs must be a pure function of (program, mode, seed)",
-                severity=severity,
+                severity="error",
             )
 
 
-def _sink_functions(project: ProjectContext) -> frozenset[str]:
-    cached = project.memo.get("rpo10.sinks")
-    if cached is None:
-        cached = frozenset(
-            qualname for qualname in project.functions if qualname.startswith(_SINK_MARKERS)
-        )
-        project.memo["rpo10.sinks"] = cached
-    return cached
-
-
-def _classify(
-    project: ProjectContext,
-    module: ModuleContext,
-    node: ast.AST,
-    sinks: frozenset[str],
-) -> tuple[str, str]:
-    """(symbol, severity) for an entropy site."""
+def _symbol(project: ProjectContext, module: ModuleContext, node: ast.AST) -> str:
+    """The enclosing function's symbol for an entropy site."""
     info = _enclosing(project, module, node)
-    if info is None:
-        return "<module>", "warning"
-    on_ledger_path = bool(sinks) and project.reaches(info.qualname, sinks)
-    handler_reachable = info.is_handler or bool(project.handler_reach(info.qualname))
-    return info.symbol, "error" if (on_ledger_path or handler_reachable) else "warning"
+    return "<module>" if info is None else info.symbol
 
 
 def _entropy_sites(module: ModuleContext) -> Iterator[tuple[ast.AST, str]]:

@@ -340,18 +340,6 @@ class ProjectContext:
         self._closure_cache[(direction, start)] = result
         return result
 
-    def reaches(self, qualname: str, targets: set[str] | frozenset[str]) -> bool:
-        return bool(self.callees_closure(qualname) & targets)
-
-    def handler_reach(self, qualname: str) -> list[FunctionInfo]:
-        """The @web_method handlers from which ``qualname`` is reachable
-        (including itself, when it is one)."""
-        reachable_from = self.callers_closure(qualname) | {qualname}
-        return sorted(
-            (info for info in self.handlers() if info.qualname in reachable_from),
-            key=lambda info: info.qualname,
-        )
-
     def runtime_reachable(self, qualname: str) -> bool:
         """False when every path to ``qualname`` starts at module scope —
         i.e. the function only ever runs at import time (registry

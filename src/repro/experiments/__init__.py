@@ -7,9 +7,9 @@ runs cells deterministically (seeded, checkpointed, resumable) and
 consolidates them into one unified record schema
 (:class:`~repro.experiments.schema.RunRecord`) that every published
 artifact — ``results/*.csv``, ``BENCH_*.json``, EXPERIMENTS.md — renders
-from.  The gates (:mod:`~repro.experiments.gates`) diff fresh runs
-against the recorded trajectory: invariant violations, ordering flips and
-virtual-cost drift all fail ``python -m repro experiments --check``.
+from.  The gate (:mod:`~repro.experiments.gates`) diffs fresh runs
+against the recorded trajectory: a moved grid contract, an invariant
+violation or any changed leaf fails ``python -m repro experiments --check``.
 """
 
 from repro.experiments.engine import (
@@ -23,8 +23,6 @@ from repro.experiments.gates import (
     GateReport,
     check_against_record,
     check_artifacts,
-    find_drift,
-    find_ordering_flips,
 )
 from repro.experiments.schema import (
     SCHEMA_VERSION,
@@ -65,8 +63,6 @@ __all__ = [
     "check_artifacts",
     "dumps_canonical",
     "evaluate_invariants",
-    "find_drift",
-    "find_ordering_flips",
     "make_record",
     "numeric_leaves",
     "run_in_memory",

@@ -2,13 +2,13 @@
 
 Modes (combinable where it makes sense):
 
-* ``--list``            — every spec: grid size, gate kind, smoke flag.
+* ``--list``            — every spec: grid size, axes, smoke flag.
 * ``--run NAME...``     — run grids (``all`` = every spec), write records
                           + artifacts; ``--resume`` loads checkpointed
                           cells instead of re-measuring them.
 * ``--check [NAME...]`` — fresh in-memory runs gated against the
-                          committed records (invariants, ordering flips,
-                          drift, artifact staleness).
+                          committed records (invariants, every leaf
+                          equal, artifact staleness).
 * ``--smoke``           — the CI quick gate: ``--check`` over the smoke
                           subset only.
 * ``--soak``            — the full-grid gate: ``--check`` over every spec.
@@ -49,7 +49,7 @@ def _list_specs(out) -> None:
         cells = len(spec.grid())
         axes = " x ".join(f"{axis.name}[{len(axis.values)}]" for axis in spec.axes)
         smoke = "  [smoke]" if spec.smoke else ""
-        out.write(f"{spec.name:22s} {cells:3d} cells  {spec.gate:5s}  {axes}{smoke}\n")
+        out.write(f"{spec.name:22s} {cells:3d} cells  {axes}{smoke}\n")
         out.write(f"{'':22s} {spec.title}\n")
 
 

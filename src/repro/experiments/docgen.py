@@ -2,8 +2,7 @@
 
 The document is a pure render of ``results/experiments/*.json`` plus the
 static narrative below — no measurement happens here, so regenerating it
-on any machine yields identical bytes (wall-clock specs render their
-*recorded* numbers).  ``python -m repro experiments --docs`` writes it;
+on any machine yields identical bytes.  ``python -m repro experiments --docs`` writes it;
 ``--check-docs`` fails when the committed file differs from the render.
 """
 
@@ -35,7 +34,7 @@ SECTION_TAGS = {
     "xmldb_scaling": "XMLDB",
     "datagrid": "DATAGRID",
     "loadgen": "LOADGEN",
-    "msgperf": "MSGPERF",
+    "memo": "MEMO",
 }
 
 #: Hand-written prose per section, rendered below the measured table.
@@ -164,14 +163,17 @@ Open-loop Poisson arrivals against the discrete-event kernel (DESIGN.md
 superlinearly with offered load, throughput saturates at the top swept
 rate, and queue depth rises — the committed trajectory is
 `results/BENCH_loadgen.json`.""",
-    "msgperf": """\
-The one wall-clock experiment (gate: shape): real elapsed time of the
-signed message path with the memoization layer on vs off.  The recorded
-numbers are machine-specific; the gate re-checks only the invariants —
-the ≥5× soak speedup floor (the uncached baseline signs with RSA-CRT),
-bit-identical virtual costs with caching on/off, and the exact DSig cache
-hit/miss counts.  The committed trajectory is
-`results/BENCH_msgperf.json`.""",
+    "memo": """\
+What the message-path caches (DESIGN.md §16) do, as exact counts: hits
+and misses of all six caches over 400 signed distributed Gets (after a
+Create and two warm-up Gets), and over the 5k-document indexed xmldb
+build plus one host lookup.  The build is one-shot trees and looks up no
+cache at all.  The record also holds the soak's virtual ms per Get with
+caching on and, over 40 Gets, under `caching_disabled()`: they are
+equal.  A memo regression — a cache bypassed, a key that stops
+matching — changes a count and fails the gate.  How fast the caches make
+the message path is a wall-clock question, answered by `wallbench/`
+(its `soak-get` workload and `xmllib.memo.*.hit_ratio` metrics).""",
 }
 
 HEADER = """\
@@ -196,9 +198,9 @@ python -m repro experiments --docs      # re-render this file from the records
 ```
 
 `python -m repro experiments --check` re-runs every grid and gates it
-against the records (orderings, invariants, bit-identical virtual costs);
-`scripts/check.sh` wires the smoke subset into CI.  All virtual-clock
-numbers below are deterministic: re-running reproduces them exactly.
+against the records (invariants, and every recorded value bit-identical);
+`scripts/check.sh` wires the smoke subset into CI.  Every number below
+is deterministic: re-running reproduces it exactly.
 
 ---
 """
@@ -227,14 +229,10 @@ free crypto → the X.509 figure collapses).
 
 
 def render_section(spec: ExperimentSpec, record) -> str:
-    gate_label = (
-        "exact (bit-identical virtual ms)" if spec.gate == "exact"
-        else "shape (wall-clock; invariants only)"
-    )
     lines = [
         f"## {SECTION_TAGS[spec.name]} — {spec.title}",
         "",
-        f"Spec: `{spec.name}` ({len(record.cells)} cells; gate: {gate_label}).",
+        f"Spec: `{spec.name}` ({len(record.cells)} cells; gate: every leaf equal).",
         f"Measurement: `{spec.source}`.",
         "",
     ]

@@ -1,27 +1,24 @@
-"""Regression gates: fresh numbers vs the recorded trajectory.
+"""Regression gate: a fresh run must equal the recorded trajectory.
 
 Three failure classes, in the order they are reported:
 
+* **structural** — the spec's grid contract (fingerprint) moved, or
+  cells are missing from or extra to the fresh run;
 * **invariant violations** — the spec's declared shape claims
   (x509 > https > none, distributed > colocated, Create slowest, …)
   no longer hold on the fresh run;
-* **ordering flips** — for any numeric metric path, two cells whose
-  recorded values were strictly ordered now order the other way (this
-  catches shape regressions even when a tolerance allows drift);
-* **cost drift** — a numeric leaf moved more than the spec's tolerance
-  relative to the recorded value (0.0 = bit-identical, the default for
-  virtual-clock specs).
-
-Specs gated ``shape`` (wall-clock benches) skip drift and ordering —
-their absolute numbers are machine-dependent — and are judged on
-invariants alone.
+* **mismatches** — a fresh cell's values are not equal to the recorded
+  ones.  Every number in a record is a pure function of the code, so
+  the gate demands equality on every leaf — numbers, strings and bools —
+  and lists each leaf that changed, appeared or vanished.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
-from repro.experiments.schema import RunRecord, numeric_leaves
+from repro.experiments.schema import RunRecord, dumps_canonical, leaves
 from repro.experiments.spec import ExperimentSpec, evaluate_invariants
 
 
@@ -30,18 +27,14 @@ class GateReport:
     """The outcome of one spec's check, partitioned by failure class."""
 
     spec: str
-    invariant_violations: list[str] = field(default_factory=list)
-    ordering_flips: list[str] = field(default_factory=list)
-    drift_violations: list[str] = field(default_factory=list)
     structural_problems: list[str] = field(default_factory=list)
+    invariant_violations: list[str] = field(default_factory=list)
+    mismatches: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not (
-            self.invariant_violations
-            or self.ordering_flips
-            or self.drift_violations
-            or self.structural_problems
+            self.structural_problems or self.invariant_violations or self.mismatches
         )
 
     def lines(self) -> list[str]:
@@ -49,82 +42,24 @@ class GateReport:
         for label, problems in (
             ("structural", self.structural_problems),
             ("invariant", self.invariant_violations),
-            ("ordering flip", self.ordering_flips),
-            ("drift", self.drift_violations),
+            ("mismatch", self.mismatches),
         ):
             out.extend(f"{self.spec}: {label}: {problem}" for problem in problems)
         return out
 
 
-def _leaves_by_cell(record: RunRecord) -> dict[str, dict[str, float]]:
-    return {cell.cell_id: numeric_leaves(cell.values) for cell in record.cells}
-
-
-def find_ordering_flips(
-    recorded: RunRecord, fresh: RunRecord
-) -> list[str]:
-    """Strict cross-cell orderings in ``recorded`` that reversed in ``fresh``.
-
-    For every metric path, each cell pair the recorded run ordered
-    strictly must not order strictly the other way now; ties (either
-    then or now) are not flips.
-    """
-    rec = _leaves_by_cell(recorded)
-    new = _leaves_by_cell(fresh)
-    flips: list[str] = []
-    cell_ids = [c for c in recorded.cell_ids() if c in new]
-    paths: set[str] = set()
-    for cell_id in cell_ids:
-        paths.update(rec[cell_id])
-    for path in sorted(paths):
-        holders = [
-            c for c in cell_ids if path in rec[c] and path in new[c]
-        ]
-        for i, a in enumerate(holders):
-            for b in holders[i + 1:]:
-                was = rec[a][path] - rec[b][path]
-                now = new[a][path] - new[b][path]
-                if was > 0 and now < 0:
-                    flips.append(
-                        f"{path}: {a} ({rec[a][path]:g}→{new[a][path]:g}) was above "
-                        f"{b} ({rec[b][path]:g}→{new[b][path]:g}), now below"
-                    )
-                elif was < 0 and now > 0:
-                    flips.append(
-                        f"{path}: {a} ({rec[a][path]:g}→{new[a][path]:g}) was below "
-                        f"{b} ({rec[b][path]:g}→{new[b][path]:g}), now above"
-                    )
-    return flips
-
-
-def find_drift(
-    recorded: RunRecord, fresh: RunRecord, tolerance: float
-) -> list[str]:
-    """Numeric leaves that moved beyond ``tolerance`` (relative)."""
-    rec = _leaves_by_cell(recorded)
-    new = _leaves_by_cell(fresh)
+def diff_leaves(recorded: dict, fresh: dict) -> list[str]:
+    """Every leaf whose JSON form differs between two cell payloads."""
+    was = {path: json.dumps(leaf) for path, leaf in leaves(recorded).items()}
+    now = {path: json.dumps(leaf) for path, leaf in leaves(fresh).items()}
     problems: list[str] = []
-    for cell_id in recorded.cell_ids():
-        if cell_id not in new:
-            continue
-        rec_leaves, new_leaves = rec[cell_id], new[cell_id]
-        for path in sorted(set(rec_leaves) | set(new_leaves)):
-            if path not in rec_leaves:
-                problems.append(f"{cell_id}:{path} appeared (not in the record)")
-                continue
-            if path not in new_leaves:
-                problems.append(f"{cell_id}:{path} vanished from the fresh run")
-                continue
-            was, now = rec_leaves[path], new_leaves[path]
-            if was == now:
-                continue
-            drift = abs(now - was) / abs(was) if was != 0 else float("inf")
-            if drift > tolerance:
-                problems.append(
-                    f"{cell_id}:{path} drifted {was:g} → {now:g} "
-                    f"({'∞' if drift == float('inf') else f'{drift:.2%}'} "
-                    f"> {tolerance:.2%} tolerance)"
-                )
+    for path in sorted(set(was) | set(now)):
+        if path not in was:
+            problems.append(f"{path} appeared (= {now[path]})")
+        elif path not in now:
+            problems.append(f"{path} vanished (was {was[path]})")
+        elif was[path] != now[path]:
+            problems.append(f"{path}: {was[path]} → {now[path]}")
     return problems
 
 
@@ -147,9 +82,14 @@ def check_against_record(
     if extra:
         report.structural_problems.append(f"cells not in the record: {extra}")
     report.invariant_violations = evaluate_invariants(spec, fresh)
-    if spec.gate == "exact":
-        report.ordering_flips = find_ordering_flips(recorded, fresh)
-        report.drift_violations = find_drift(recorded, fresh, spec.tolerance)
+    fresh_cells = {cell.cell_id: cell for cell in fresh.cells}
+    for cell in recorded.cells:
+        new = fresh_cells.get(cell.cell_id)
+        # Canonical JSON: what the record holds, so 1 vs 1.0 vs True differ.
+        if new is None or dumps_canonical(cell.values) == dumps_canonical(new.values):
+            continue
+        lines = diff_leaves(cell.values, new.values) or ["values differ in nesting"]
+        report.mismatches.extend(f"{cell.cell_id}:{line}" for line in lines)
     return report
 
 

@@ -1350,74 +1350,65 @@ LOADGEN = ExperimentSpec(
 )
 
 
-# -- msgperf (wall clock; shape-gated) ---------------------------------------
+# -- memo (message-path cache counts) ----------------------------------------
 
 
-def _measure_msgperf(params: dict, seed: int) -> dict:
-    from repro.bench.msgperf import run_msgperf
+def _measure_memo(params: dict, seed: int) -> dict:
+    from repro.bench.memo import run_memo
 
-    return run_msgperf()
+    return run_memo()
 
 
-def _msgperf_figure(record: RunRecord) -> dict:
+def _memo_figure(record: RunRecord) -> dict:
     report = cell_values(record, run="all")
+    soak, xmldb = report["soak"]["cache_stats"], report["xmldb"]["cache_stats"]
     return {
-        "soak (msg/s)": {
-            "cached": report["soak"]["cached"]["messages_per_sec"],
-            "uncached": report["soak"]["uncached"]["messages_per_sec"],
-            "speedup x": report["soak"]["speedup"],
-        },
-        "xmldb (doc/s)": {
-            "cached": report["xmldb"]["cached"]["docs_per_sec"],
-            "uncached": report["xmldb"]["uncached"]["docs_per_sec"],
-            "speedup x": report["xmldb"]["speedup"],
-        },
+        cache: {
+            "soak hits": soak[cache]["hits"],
+            "soak misses": soak[cache]["misses"],
+            "xmldb hits": xmldb[cache]["hits"],
+            "xmldb misses": xmldb[cache]["misses"],
+        }
+        for cache in sorted(soak)
     }
 
 
-def _msgperf_artifacts(record: RunRecord) -> dict[str, str]:
-    from repro.experiments.schema import dumps_canonical
-
-    return {"BENCH_msgperf.json": dumps_canonical(cell_values(record, run="all"))}
-
-
-def _msgperf_claims(record: RunRecord) -> list[str]:
+def _memo_claims(record: RunRecord) -> list[str]:
     problems = []
     report = cell_values(record, run="all")
     soak = report["soak"]
-    if soak["speedup"] < soak["min_speedup"]:
-        problems.append("the soak speedup fell under the floor")
-    if not soak["cached"]["virtual_ms_per_op"] == soak["uncached"]["virtual_ms_per_op"] > 0:
+    virtual = soak["virtual_ms_per_op"]
+    if not virtual["cached"] == virtual["uncached"] > 0:
         problems.append("caching changed the virtual costs")
-    stats = report["cache_stats"]
-    # Machine-independent counts: the Create and the first Get miss each DSig
-    # cache twice (request and response); the second warm-up Get and every
-    # soak Get hit it twice.
-    expected = {"hits": 2 * soak["cached"]["messages"] + 2, "misses": 4}
+    # The Create and the first Get miss each DSig cache twice (request and
+    # response); the second warm-up Get and every soak Get hit it twice.
+    expected = {"hits": 2 * soak["messages"] + 2, "misses": 4}
     for cache in ("dsig.sign", "dsig.verify"):
-        if stats[cache] != expected:
-            problems.append(f"the {cache} cache counts {stats[cache]} != {expected}")
-    if report["xmldb"]["speedup"] < 0.75:
-        problems.append("caching pessimized the one-shot document workload")
+        if soak["cache_stats"][cache] != expected:
+            problems.append(
+                f"the {cache} cache counts {soak['cache_stats'][cache]} != {expected}"
+            )
+    for cache, counts in report["xmldb"]["cache_stats"].items():
+        if counts["hits"] or counts["misses"]:
+            problems.append(f"the one-shot xmldb build looked up the {cache} cache")
     return problems
 
 
-MSGPERF = ExperimentSpec(
-    name="msgperf",
-    title="Message-path wall-clock throughput: memoized vs uncached",
+MEMO = ExperimentSpec(
+    name="memo",
+    title="Message-path cache counts: signed soak and xmldb build",
     axes=(Axis("run", ("all",)),),
-    measure=_measure_msgperf,
+    measure=_measure_memo,
     invariants=(
         Predicate(
-            "msgperf_claims",
-            "speedup floor, virtual-cost invariance and exact DSig cache counts",
-            fn=_msgperf_claims,
+            "memo_claims",
+            "virtual cost identical cached vs uncached, exact DSig counts, "
+            "no cache lookups in the one-shot xmldb build",
+            fn=_memo_claims,
         ),
     ),
-    gate="shape",
-    to_figure=_msgperf_figure,
-    extra_artifacts=_msgperf_artifacts,
-    source="repro.bench.msgperf.run_msgperf",
+    to_figure=_memo_figure,
+    source="repro.bench.memo.run_memo",
 )
 
 
@@ -1441,7 +1432,7 @@ SPECS: tuple[ExperimentSpec, ...] = (
     XMLDB_SCALING,
     DATAGRID,
     LOADGEN,
-    MSGPERF,
+    MEMO,
 )
 
 

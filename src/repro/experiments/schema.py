@@ -9,8 +9,8 @@ artifacts, and compiled into ``EXPERIMENTS.md``.
 
 Serialization is deliberately boring: everything is plain JSON with
 sorted keys and a fixed indent, so a record regenerated from the same
-virtual-clock run is *byte-identical* — which is exactly what the
-check gates diff.
+run is *byte-identical* — which is exactly what the check gate demands,
+leaf by leaf (see :func:`leaves`).
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ class CellResult:
     """One measured cell: the axis values it ran at and what it produced.
 
     ``values`` is an arbitrary JSON-serializable payload (floats for
-    simple figures, nested dicts/lists for sweep rows); the gate layer
-    only compares its *numeric leaves* (see :func:`numeric_leaves`).
+    simple figures, nested dicts/lists for sweep rows); the gate
+    compares every one of its leaves — numbers, strings and bools.
     """
 
     cell_id: str
@@ -152,24 +152,32 @@ def dumps_canonical(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def numeric_leaves(values, prefix: str = "") -> dict[str, float]:
-    """Flatten the numeric leaves of a cell payload to ``path → value``.
+def leaves(values, prefix: str = "") -> dict[str, object]:
+    """Flatten a cell payload to ``path → leaf``.
 
-    Paths join nested dict keys (and list indexes) with ``.``; booleans
-    are *not* numbers here — ``True`` drifting to ``False`` should read
-    as a value change, not a 100% numeric drift.
+    Paths join nested dict keys (and list indexes) with ``.``; a leaf is
+    any scalar, or an empty dict/list (so it cannot vanish unseen).
     """
-    flat: dict[str, float] = {}
-    if isinstance(values, dict):
-        for key in sorted(values):
-            child_prefix = f"{prefix}.{key}" if prefix else str(key)
-            flat.update(numeric_leaves(values[key], child_prefix))
-    elif isinstance(values, (list, tuple)):
-        for index, item in enumerate(values):
-            child_prefix = f"{prefix}.{index}" if prefix else str(index)
-            flat.update(numeric_leaves(item, child_prefix))
-    elif isinstance(values, bool):
-        pass
-    elif isinstance(values, (int, float)):
-        flat[prefix] = float(values)
+    if isinstance(values, dict) and values:
+        children = [(str(key), values[key]) for key in sorted(values)]
+    elif isinstance(values, (list, tuple)) and values:
+        children = [(str(index), item) for index, item in enumerate(values)]
+    else:
+        return {prefix: values}
+    flat: dict[str, object] = {}
+    for key, child in children:
+        flat.update(leaves(child, f"{prefix}.{key}" if prefix else key))
     return flat
+
+
+def numeric_leaves(values) -> dict[str, float]:
+    """The numeric leaves of a cell payload, ``path → value``.
+
+    Booleans are *not* numbers here — ``True`` drifting to ``False``
+    should read as a value change, not a 100% numeric drift.
+    """
+    return {
+        path: float(leaf)
+        for path, leaf in leaves(values).items()
+        if isinstance(leaf, (int, float)) and not isinstance(leaf, bool)
+    }

@@ -6,8 +6,8 @@ cell is measured (a callable from ``(params, seed)`` to a JSON payload),
 and which *shape* claims the measured numbers must keep satisfying
 (:class:`PairOrdering` / :class:`Predicate` invariants).  The engine
 (:mod:`repro.experiments.engine`) expands the grid and runs it; the gate
-(:mod:`repro.experiments.gates`) re-evaluates the invariants and diffs
-fresh numbers against the recorded trajectory.
+(:mod:`repro.experiments.gates`) re-evaluates the invariants and demands
+every leaf of a fresh run equal the recorded one.
 """
 
 from __future__ import annotations
@@ -163,13 +163,6 @@ def evaluate_invariants(spec: "ExperimentSpec", record: RunRecord) -> list[str]:
 
 # -- the spec ----------------------------------------------------------------
 
-#: How the gate treats a spec's numbers.  ``exact``: virtual-clock
-#: deterministic — fresh numbers must match the record bit-for-bit (plus
-#: ordering stability at any looser tolerance).  ``shape``: wall-clock —
-#: only the invariants are re-evaluated; absolute numbers may drift.
-GATE_KINDS = ("exact", "shape")
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One declarative experiment: grid, measurement, contract, outputs."""
@@ -184,10 +177,6 @@ class ExperimentSpec:
     #: Base seed; each cell's seed is derived from it and the cell id.
     seed: int = 0
     invariants: tuple[Invariant, ...] = ()
-    #: Gate mode (see GATE_KINDS) and allowed relative drift for "exact"
-    #: specs (0.0 = bit-identical, the default for virtual-clock numbers).
-    gate: str = "exact"
-    tolerance: float = 0.0
     #: Builds the legacy figure table (series → {column → value}) from a
     #: record; used for the ``results/*.csv`` artifact and the docs table.
     to_figure: Callable[[RunRecord], dict] | None = None
@@ -212,10 +201,6 @@ class ExperimentSpec:
         names = [axis.name for axis in self.axes]
         if len(set(names)) != len(names):
             raise SpecError(f"spec {self.name!r} has duplicate axis names")
-        if self.gate not in GATE_KINDS:
-            raise SpecError(f"spec {self.name!r}: unknown gate kind {self.gate!r}")
-        if self.tolerance < 0:
-            raise SpecError(f"spec {self.name!r}: negative tolerance")
 
     # -- grid --------------------------------------------------------------
 
@@ -243,7 +228,7 @@ class ExperimentSpec:
 
     def fingerprint(self) -> str:
         """Identity of the grid contract (not the measurement code):
-        changing axes, seed, gate or config invalidates old records and
+        changing axes, seed or config invalidates old records and
         checkpoints."""
         identity = dumps_canonical(
             {
@@ -251,7 +236,7 @@ class ExperimentSpec:
                 "name": self.name,
                 "axes": [[axis.name, list(axis.values)] for axis in self.axes],
                 "seed": self.seed,
-                "gate": self.gate,
+                "gate": "exact",  # constant; keeps committed fingerprints valid
                 "config": self.config,
             }
         )

@@ -12,8 +12,9 @@ module owns the machinery every cache in ``repro.xmllib`` and
   *content* (structural keys from
   :func:`repro.xmllib.element.content_key`), so a freshly re-parsed tree
   that is byte-identical to one seen before still hits;
-* :func:`caching_disabled` — the uncached-baseline switch the
-  ``msgperf`` benchmark uses to measure honest speedups.
+* :func:`caching_disabled` — bypasses every cache, so tests and the
+  ``memo`` experiment can show a run's virtual costs do not depend on
+  caching.
 
 Every cached value is a pure function of its key, and keys incorporate
 either content hashes or the mutation version counters maintained by
@@ -40,7 +41,7 @@ def memo_enabled() -> bool:
 
 @contextmanager
 def caching_disabled():
-    """Run with every content cache bypassed (the uncached baseline).
+    """Run with every content cache bypassed.
 
     Global caches are cleared on entry so a following cached measurement
     starts cold and earns its hits; element-level memos are version-keyed

@@ -106,16 +106,6 @@ class TestClosures:
             "alpha.a", "alpha.b", "alpha.c",
         }
 
-    def test_reaches(self):
-        project = _project(alpha=(
-            "def sink():\n    return 0\n"
-            "def mid():\n    return sink()\n"
-            "def top():\n    return mid()\n"
-            "def lonely():\n    return 1\n"
-        ))
-        assert project.reaches("alpha.top", {"alpha.sink"})
-        assert not project.reaches("alpha.lonely", {"alpha.sink"})
-
 
 class TestRuntimeReachability:
     SOURCE = (
@@ -166,18 +156,6 @@ class TestHandlers:
         assert [info.qualname for info in project.handlers()] == [
             "alpha.CounterService.add"
         ]
-
-    def test_handler_reach_is_transitive(self):
-        project = _project(alpha=self.SOURCE)
-        assert [info.qualname for info in project.handler_reach("alpha.deep")] == [
-            "alpha.CounterService.add"
-        ]
-        assert project.handler_reach("alpha.offline") == []
-
-    def test_handler_reach_includes_self(self):
-        project = _project(alpha=self.SOURCE)
-        reached = project.handler_reach("alpha.CounterService.add")
-        assert [info.qualname for info in reached] == ["alpha.CounterService.add"]
 
 
 class TestSingle:

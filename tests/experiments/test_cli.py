@@ -17,7 +17,7 @@ class TestList:
     def test_list_mentions_every_spec(self, capsys):
         assert experiments_main(["--list"]) == 0
         out = capsys.readouterr().out
-        for name in ("fig2_hello_nosec", "msgperf", "datagrid"):
+        for name in ("fig2_hello_nosec", "memo", "datagrid"):
             assert name in out
 
     def test_no_action_prints_help_and_exits_2(self, capsys):

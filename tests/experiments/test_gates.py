@@ -1,8 +1,9 @@
-"""The regression gates, exercised with planted tampering.
+"""The regression gate, exercised with planted tampering.
 
 Every failure class check.sh relies on is demonstrated here: a planted
-ordering flip, planted drift beyond tolerance, invariant violations, a
-changed grid contract, missing/extra cells, and stale artifacts.
+ordering flip, a tie, a +5% drift, a changed string and a flipped bool
+(each a leaf the gate must name), invariant violations, a changed grid
+contract, missing/extra cells, and stale artifacts.
 """
 
 import dataclasses
@@ -12,8 +13,6 @@ from repro.experiments import (
     ExperimentEngine,
     check_against_record,
     check_artifacts,
-    find_drift,
-    find_ordering_flips,
     make_record,
     run_in_memory,
 )
@@ -33,43 +32,46 @@ def tampered(record, cell_index, **new_values):
     return dataclasses.replace(record, cells=cells)
 
 
+def gate_with(cell_index=0, **new_values):
+    """The toy spec's report for a fresh run with one cell tampered."""
+    spec = make_toy_spec()
+    recorded = run_in_memory(spec)
+    fresh = tampered(run_in_memory(spec), cell_index, **new_values)
+    return check_against_record(spec, recorded, fresh)
+
+
+def assert_names_leaf(report, path):
+    assert not report.ok
+    assert any(
+        line.startswith(f"mode=none,stack=wsrf:{path}") for line in report.mismatches
+    ), report.mismatches
+
+
 class TestOrderingFlips:
     def test_identical_runs_have_no_flips(self):
         spec = make_toy_spec()
         record = run_in_memory(spec)
-        assert find_ordering_flips(record, record) == []
+        assert check_against_record(spec, record, record).ok
 
     def test_planted_flip_is_detected(self):
-        spec = make_toy_spec()
-        recorded = run_in_memory(spec)
         # Recorded: wsrf get (10.0) > transfer get (6.0) under mode=none.
         # Plant the reversal in the fresh run.
-        fresh = tampered(run_in_memory(spec), 0, get_ms=1.0)
-        flips = find_ordering_flips(recorded, fresh)
-        assert flips
-        assert any("get_ms" in flip and "mode=none,stack=wsrf" in flip for flip in flips)
+        report = gate_with(get_ms=1.0)
+        assert_names_leaf(report, "get_ms: 10.0 → 1.0")
 
-    def test_ties_are_not_flips(self):
-        spec = make_toy_spec()
-        recorded = run_in_memory(spec)
-        # Collapse a strict ordering into a tie: suspicious, but not a flip
-        # (drift catches it; the flip gate only fires on reversals).
-        fresh = tampered(run_in_memory(spec), 0, get_ms=6.0)
-        assert find_ordering_flips(recorded, fresh) == []
+    def test_planted_tie_fails_the_gate(self):
+        # Collapsing a strict ordering into a tie is a changed value.
+        assert_names_leaf(gate_with(get_ms=6.0), "get_ms: 10.0 → 6.0")
 
 
 class TestDrift:
     def test_identical_runs_have_no_drift(self):
-        record = run_in_memory(make_toy_spec())
-        assert find_drift(record, record, tolerance=0.0) == []
-
-    def test_planted_drift_beyond_tolerance_is_reported(self):
         spec = make_toy_spec()
-        recorded = run_in_memory(spec)
-        fresh = tampered(run_in_memory(spec), 0, get_ms=10.5)  # +5%
-        assert find_drift(recorded, fresh, tolerance=0.0)
-        assert find_drift(recorded, fresh, tolerance=0.01)
-        assert find_drift(recorded, fresh, tolerance=0.10) == []
+        report = check_against_record(spec, run_in_memory(spec), run_in_memory(spec))
+        assert report.mismatches == []
+
+    def test_planted_drift_fails_the_gate(self):
+        assert_names_leaf(gate_with(get_ms=10.5), "get_ms: 10.0 → 10.5")  # +5%
 
     def test_vanished_and_appeared_leaves_are_reported(self):
         spec = make_toy_spec()
@@ -77,15 +79,40 @@ class TestDrift:
         cells = list(run_in_memory(spec).cells)
         target = cells[0]
         values = dict(target.values)
-        del values["get_ms"]
+        del values["seed_echo"]
         values["surprise_ms"] = 1.0
         cells[0] = CellResult(
             cell_id=target.cell_id, params=target.params, seed=target.seed, values=values
         )
         fresh = dataclasses.replace(recorded, cells=cells)
-        problems = find_drift(recorded, fresh, tolerance=1.0)
-        assert any("vanished" in p for p in problems)
-        assert any("appeared" in p for p in problems)
+        report = check_against_record(spec, recorded, fresh)
+        assert_names_leaf(report, "seed_echo vanished")
+        assert_names_leaf(report, "surprise_ms appeared")
+
+
+class TestEveryLeaf:
+    """Strings, bools and types are leaves too, not only numbers."""
+
+    def _gate(self, recorded_values, fresh_values):
+        spec = make_toy_spec()
+        recorded = tampered(run_in_memory(spec), 0, **recorded_values)
+        return check_against_record(spec, recorded, tampered(recorded, 0, **fresh_values))
+
+    def test_planted_string_change_fails_the_gate(self):
+        report = self._gate({"phase": {"name": "sign"}}, {"phase": {"name": "verify"}})
+        assert_names_leaf(report, 'phase.name: "sign" → "verify"')
+
+    def test_planted_bool_flip_fails_the_gate(self):
+        report = self._gate({"flags": [True, False]}, {"flags": [True, True]})
+        assert_names_leaf(report, "flags.1: false → true")
+
+    def test_number_type_change_fails_the_gate(self):
+        assert_names_leaf(self._gate({"n": 1}, {"n": True}), "n: 1 → true")
+
+    def test_json_equal_payloads_pass(self):
+        # Tuples and lists serialize alike, so a fresh tuple matches a
+        # recorded list.
+        assert self._gate({"pair": [1, 2]}, {"pair": (1, 2)}).ok
 
 
 class TestCheckAgainstRecord:
@@ -103,7 +130,7 @@ class TestCheckAgainstRecord:
         assert not report.ok
         assert "fingerprint changed" in report.structural_problems[0]
         # No noise from downstream classes once the contract moved.
-        assert report.drift_violations == []
+        assert report.mismatches == []
 
     def test_missing_cell_is_structural(self):
         spec = make_toy_spec()
@@ -112,33 +139,24 @@ class TestCheckAgainstRecord:
         report = check_against_record(spec, recorded, fresh)
         assert any("missing" in p for p in report.structural_problems)
 
-    def test_invariant_violation_fails_even_for_shape_gate(self):
+    def test_invariant_violation_fails_the_gate(self):
         def inverted(params, seed):
             values = toy_measure(params, seed)
             if params["mode"] == "x509":
                 values["get_ms"] = 0.5
             return values
 
-        spec = make_toy_spec(measure=inverted, gate="shape")
+        spec = make_toy_spec(measure=inverted)
         recorded = run_in_memory(spec)
         report = check_against_record(spec, recorded, run_in_memory(spec))
         assert report.invariant_violations
+        assert report.mismatches == []
         assert not report.ok
 
-    def test_shape_gate_ignores_drift_and_flips(self):
-        spec = make_toy_spec(gate="shape")
-        recorded = run_in_memory(spec)
-        fresh = tampered(run_in_memory(spec), 0, get_ms=9.0)  # drifted but ordered
-        report = check_against_record(spec, recorded, fresh)
-        assert report.ok
-
     def test_exact_gate_fails_on_the_same_drift(self):
-        spec = make_toy_spec()
-        recorded = run_in_memory(spec)
-        fresh = tampered(run_in_memory(spec), 0, get_ms=9.0)
-        report = check_against_record(spec, recorded, fresh)
-        assert report.drift_violations
-        assert report.lines()
+        report = gate_with(get_ms=9.0)
+        assert report.mismatches
+        assert any("mismatch" in line for line in report.lines())
 
 
 class TestCheckArtifacts:

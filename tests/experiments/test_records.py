@@ -7,6 +7,8 @@ half (fresh runs diffed cell-by-cell) lives in ``scripts/check.sh`` via
 ``python -m repro experiments --check``.
 """
 
+import os
+
 import pytest
 
 from repro.experiments import check_artifacts, evaluate_invariants
@@ -46,3 +48,20 @@ def test_smoke_subset_is_cheap_and_nonempty():
     assert smoke, "CI smoke gate would be vacuous"
     assert all(len(spec.grid()) <= 4 for spec in smoke)
     assert {spec.name for spec in smoke} < {spec.name for spec in all_specs()}
+
+
+def test_every_results_file_has_one_owner():
+    """Each file directly under results/ is one spec's artifact (or a
+    report the lint and conformance gates own), so a deleted spec cannot
+    leave an orphan behind."""
+    owners: dict[str, list[str]] = {}
+    for spec in all_specs():
+        for name in spec.artifacts(ENGINE.load_record(spec.name)):
+            owners.setdefault(name, []).append(spec.name)
+    shared = {name: specs for name, specs in owners.items() if len(specs) > 1}
+    assert shared == {}
+    committed = {
+        entry.name for entry in os.scandir(DEFAULT_RESULTS_DIR) if entry.is_file()
+    }
+    orphans = committed - set(owners) - {"lint_report.json", "conformance_summary.json"}
+    assert orphans == set()

@@ -48,10 +48,6 @@ class TestSpecShape:
         with pytest.raises(SpecError, match="duplicate axis"):
             make_toy_spec(axes=(Axis("mode", ("a",)), Axis("mode", ("b",))))
 
-    def test_unknown_gate_rejected(self):
-        with pytest.raises(SpecError, match="gate"):
-            make_toy_spec(gate="fuzzy")
-
     def test_fingerprint_tracks_the_grid_contract(self):
         base = make_toy_spec()
         assert base.fingerprint() == make_toy_spec().fingerprint()

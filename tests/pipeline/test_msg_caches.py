@@ -1,7 +1,7 @@
 """Cache observability on the message path (DESIGN.md §16).
 
 The content-keyed caches expose hit/miss counters precisely so tier-1
-can pin the behaviour the msgperf bench depends on: in a two-message
+can pin the behaviour the memo record depends on: in a two-message
 soak the second, identical message is served from the c14n/DSig caches,
 while a mutated message keys differently and misses.  And the caches
 must be wall-clock-only — the virtual cost ledger of a soak run with
