@@ -24,7 +24,7 @@ from repro.crypto.xmldsig import DsigError, sign_element, signer_subject, verify
 from repro.sim.network import Network, TransportKind
 from repro.soap.envelope import Envelope
 from repro.xmllib import QName, element, ns
-from repro.xmllib.element import XmlElement
+from repro.xmllib.element import XmlElement, freeze
 
 _SECURITY_HEADER = QName(ns.WSSE, "Security")
 _SIGNATURE = QName(ns.DS, "Signature")
@@ -90,12 +90,16 @@ class SecurityHandler:
     # -- outgoing ------------------------------------------------------------
 
     def secure_outgoing(self, envelope: Envelope, credentials: Credentials | None) -> None:
-        """Attach a wsse:Security/ds:Signature header over the Body."""
+        """Attach a wsse:Security/ds:Signature header over the Body.
+
+        The Body is final once signed, so it is frozen first: signing and
+        sending then share its memoized content key.
+        """
         if not self.policy.signing:
             return
         if credentials is None:
             raise SecurityError("X.509 policy requires credentials to sign")
-        body = envelope.body
+        body = freeze(envelope.body)
         costs = self.network.costs
         kb = _approx_kb(body)
         self.network.charge(costs.c14n_digest_per_kb * kb + costs.rsa_sign, "security.sign")

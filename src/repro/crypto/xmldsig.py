@@ -16,7 +16,7 @@ from repro.crypto.rsa import RsaKeyPair, RsaPublicKey, SignatureError
 from repro.crypto.x509 import Certificate
 from repro.xmllib import canonicalize, element, text_of
 from repro.xmllib import ns
-from repro.xmllib.element import XmlElement, content_key
+from repro.xmllib.element import XmlElement, content_key, freeze
 from repro.xmllib.memo import ContentCache, memo_enabled
 
 
@@ -32,10 +32,10 @@ _DIGEST_ALG = ns.DSIG_SHA1
 # verification verdicts are pure functions of (content, key material):
 # PKCS#1 v1.5 signing is deterministic, so a cached signature is
 # byte-identical to a freshly computed one, and content keys change on any
-# mutation of the covered tree, so stale entries can only miss.  Cached
-# Signature elements are private copies — callers get a fresh copy per hit
-# and can never mutate the cached instance.  Verification caches successes
-# only; failures always re-raise through the full path.
+# mutation of the covered tree, so stale entries can only miss.  Every
+# Signature element is frozen, so the cache stores and returns the element
+# itself: no caller can mutate the cached instance.  Verification caches
+# successes only; failures always re-raise through the full path.
 _DIGESTS = ContentCache("dsig.digest", capacity=8192)
 _SIGNATURES = ContentCache("dsig.sign", capacity=2048)
 _VERIFIED = ContentCache("dsig.verify", capacity=8192)
@@ -75,7 +75,7 @@ def sign_element(
     *,
     reference_uri: str = "#Body",
 ) -> XmlElement:
-    """Produce a ``ds:Signature`` element covering ``target``."""
+    """Produce a frozen ``ds:Signature`` element covering ``target``."""
     enabled = memo_enabled()
     if enabled:
         cache_key = (
@@ -87,10 +87,10 @@ def sign_element(
         )
         cached = _SIGNATURES.get(cache_key)
         if cached is not None:
-            return cached.copy()
+            return cached
     signed_info = _signed_info(_digest(target), reference_uri)
     signature_bytes = keypair.sign(canonicalize(signed_info).encode())
-    signature = element(
+    signature = freeze(element(
         f"{{{ns.DS}}}Signature",
         signed_info,
         element(f"{{{ns.DS}}}SignatureValue", base64.b64encode(signature_bytes).decode()),
@@ -98,9 +98,9 @@ def sign_element(
             f"{{{ns.DS}}}KeyInfo",
             element(f"{{{ns.DS}}}X509SubjectName", str(certificate.subject)),
         ),
-    )
+    ))
     if enabled:
-        _SIGNATURES.put(cache_key, signature.copy())
+        _SIGNATURES.put(cache_key, signature)
     return signature
 
 

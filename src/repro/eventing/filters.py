@@ -24,10 +24,11 @@ FILTER_DIALECT_XPATH = ns.XPATH_DIALECT
 
 
 def event_wrapper(message: XmlElement, topic: str = "") -> XmlElement:
+    # The wrapper only lives for one read-only match, so it shares the message.
     wrapper = element(f"{{{ns.WSE}}}Event")
     if topic:
         wrapper.set("Topic", topic)
-    wrapper.append(message.copy())
+    wrapper.append(message)
     return wrapper
 
 

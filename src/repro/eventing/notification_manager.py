@@ -25,7 +25,7 @@ from repro.eventing.store import FlatFileSubscriptionStore, SubscriptionRecord
 from repro.sim.faults import DeliveryFault
 from repro.soap.envelope import build_envelope
 from repro.xmllib import element, ns
-from repro.xmllib.element import XmlElement
+from repro.xmllib.element import XmlElement, freeze
 
 
 class NotificationManager:
@@ -45,7 +45,9 @@ class NotificationManager:
         """Deliver ``message`` to every live, matching subscriber of the
         source.  Expired subscriptions are pruned (and their EndTo endpoints
         told).  Failed deliveries end the subscription per the spec.
-        Returns the delivery count."""
+        Returns the delivery count.  ``message`` is frozen, and every
+        subscriber is sent that one tree."""
+        freeze(message)
         now = source_service.network.clock.now
         for dead in self.store.prune_expired(now):
             self._send_subscription_end(source_service, dead, "expired")
@@ -111,9 +113,9 @@ class NotificationManager:
             )
             if topic:
                 wrapper.set("Topic", topic)
-            wrapper.append(message.copy())
+            wrapper.append(message)
             return wrapper
-        return message.copy()
+        return message
 
     def _send_subscription_end(self, source_service, record: SubscriptionRecord, reason: str) -> None:
         if not record.end_to:

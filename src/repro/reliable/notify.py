@@ -19,7 +19,7 @@ from repro.reliable.policy import RetryPolicy
 from repro.reliable.sequence import OutboundSequence, sequence_header
 from repro.sim.faults import DeliveryFault
 from repro.soap.envelope import build_envelope
-from repro.xmllib.element import XmlElement
+from repro.xmllib.element import XmlElement, freeze
 
 
 class ReliableNotifier:
@@ -77,10 +77,11 @@ class ReliableNotifier:
         number = sequence.next_number()
         spent_backoff = 0.0
         attempts = 0
+        freeze(payload)  # every attempt sends the same tree
         for attempt in range(1, self.policy.max_attempts + 1):
             attempts = attempt
             envelope = build_envelope(
-                [sequence_header(sequence.identifier, number)], [payload.copy()]
+                [sequence_header(sequence.identifier, number)], [payload]
             )
             try:
                 accepted = self.deployment.deliver_notification(

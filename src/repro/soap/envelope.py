@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.xmllib import QName, element, ns, parse_xml, text_of
-from repro.xmllib.element import XmlElement
+from repro.xmllib.element import XmlElement, freeze
 
 _ENVELOPE = QName(ns.SOAP, "Envelope")
 _HEADER = QName(ns.SOAP, "Header")
@@ -50,6 +50,9 @@ class SoapFault(Exception):
         return cls(code or "Server", reason or "unspecified fault", detail)
 
 
+_NO_HEADER = freeze(element(_HEADER))
+
+
 @dataclass
 class Envelope:
     """A parsed SOAP envelope with convenient header/body access."""
@@ -58,11 +61,13 @@ class Envelope:
 
     @property
     def header(self) -> XmlElement:
+        """The soap:Header, or a detached frozen empty one if there is none.
+
+        Reading never edits the envelope, which may be a frozen received
+        one; writers get a real Header from :func:`build_envelope`.
+        """
         node = self.root.find(_HEADER)
-        if node is None:
-            node = element(_HEADER)
-            self.root.children.insert(0, node)
-        return node
+        return _NO_HEADER if node is None else node
 
     @property
     def body(self) -> XmlElement:

@@ -29,7 +29,7 @@ from repro.wsrf.programming import (
 from repro.wsrf.properties import ResourcePropertiesMixin
 from repro.wsrf.resource import RESOURCE_ID, ResourceUnknownError
 from repro.xmllib import element, ns, text_of
-from repro.xmllib.element import XmlElement
+from repro.xmllib.element import XmlElement, freeze
 from repro.xmllib.xpath import XPathError, compile_xpath
 
 
@@ -318,7 +318,9 @@ class NotificationProducerMixin:
 
         Returns the number of deliveries made.  Consumers may be client-side
         sinks or other services (the broker subscribes as a service).
+        ``message`` is frozen, and every subscriber is sent that one tree.
         """
+        freeze(message)
         delivered = 0
         views = self.subscription_manager.active_subscriptions(self.address)
         producer_properties = None
@@ -336,7 +338,7 @@ class NotificationProducerMixin:
 
     def _deliver(self, view: SubscriptionView, topic: str, message: XmlElement) -> bool:
         if view.use_raw:
-            payload = message.copy()
+            payload = message
         else:
             payload = element(
                 f"{{{ns.WSNT}}}Notify",
@@ -348,7 +350,7 @@ class NotificationProducerMixin:
                         attrs={"Dialect": TopicDialect.CONCRETE.value},
                     ),
                     self.epr().to_xml(f"{{{ns.WSNT}}}ProducerReference"),
-                    element(f"{{{ns.WSNT}}}Message", message.copy()),
+                    element(f"{{{ns.WSNT}}}Message", message),
                 ),
             )
         deployment = self.container.deployment

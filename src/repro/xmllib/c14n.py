@@ -19,9 +19,9 @@ Two structurally-equal trees therefore canonicalize to identical bytes —
 which also makes the canonical text a pure function of the tree's *content*,
 so whole-tree results are memoized in a content-keyed cache: the second
 message of a soak canonicalizes its (unchanged) body in one dict lookup.
-Mutating any node bumps version counters up the tree (see
-:mod:`repro.xmllib.element`), changing the content key, so a stale entry can
-never be replayed.  The writer itself is iterative and survives ~1000-deep
+A frozen tree cannot change, and a mutable tree's content key is recomputed
+on every call (see :mod:`repro.xmllib.element`), so a stale entry can never
+be replayed.  The writer itself is iterative and survives ~1000-deep
 documents.
 """
 

@@ -6,22 +6,20 @@ child is either another element or a text string (mixed content).  Keeping
 text as ordinary list entries (rather than ElementTree's text/tail split)
 makes canonicalization and XPath ``text()`` handling straightforward.
 
-Every element carries a mutation *version* (DESIGN.md §16): the child list
-and attribute map are tracked containers whose mutators bump the version of
-the owning element and of every ancestor reachable through parent links, and
-drop any memoized derived values (`content_key`, namespace tuples).  That is
-what lets ``canonicalize``/XML-DSig memoize per subtree while staying
-byte-identical under mutation — including mutation through aliased child
-references, since a child shared by two trees keeps a parent link into each.
-Parent links are weak so caching a signature subtree across many envelopes
-does not leak the envelopes.  Tags are fixed at construction (nothing in the
-tree may reassign ``node.tag``); all other mutation goes through the tracked
-containers or the ``children``/``attributes`` property setters.
+A tree is mutable until it becomes final, then :func:`freeze` makes it
+read-only in place (DESIGN.md §16): its children become a tuple and its
+attributes a read-only dict, and every mutator raises :class:`TypeError`.
+Every descendant of a frozen node is frozen, so a frozen tree's content can
+never change.  That is what lets a sent envelope be handed to its receiver
+without a copy, and what lets derived values (content keys, namespace
+tuples) be memoized on frozen nodes with nothing ever to invalidate.
+Mutable nodes hold a plain ``list`` and ``dict`` and memoize nothing; to
+edit a frozen tree, edit its :meth:`~XmlElement.copy`.  Tags are fixed at
+construction (nothing in the tree may reassign ``node.tag``).
 """
 
 from __future__ import annotations
 
-import weakref
 from operator import attrgetter
 from typing import Iterable, Iterator
 
@@ -29,172 +27,39 @@ from repro.xmllib.qname import QName
 
 Child = "XmlElement | str"
 
-_ref = weakref.ref
 _sort_key = attrgetter("_key")
 
-
-def _bump(origin: "XmlElement") -> None:
-    """Invalidate memos on ``origin`` and every (transitive) parent."""
-    seen = {id(origin)}
-    stack = [origin]
-    while stack:
-        node = stack.pop()
-        node._version += 1
-        node._memo = None
-        parents = node._parents
-        if parents:
-            live = []
-            for ref in parents:
-                parent = ref()
-                if parent is None:
-                    continue
-                live.append(ref)
-                if id(parent) not in seen:
-                    seen.add(id(parent))
-                    stack.append(parent)
-            if len(live) != len(parents):
-                parents[:] = live
+_FROZEN = "XmlElement is frozen (sent trees are read-only); edit a copy()"
 
 
-class _Children(list):
-    """Child list that maintains parent links and version bumps."""
-
-    __slots__ = ("_owner",)
-
-    def _adopt(self, child) -> None:
-        if isinstance(child, XmlElement):
-            child._parents.append(_ref(self._owner))
-
-    def _orphan(self, child) -> None:
-        if isinstance(child, XmlElement):
-            owner = self._owner
-            parents = child._parents
-            for i, ref in enumerate(parents):
-                if ref() is owner:
-                    del parents[i]
-                    break
-
-    def append(self, child) -> None:
-        list.append(self, child)
-        self._adopt(child)
-        _bump(self._owner)
-
-    def extend(self, items) -> None:
-        items = list(items)
-        list.extend(self, items)
-        for child in items:
-            self._adopt(child)
-        _bump(self._owner)
-
-    def insert(self, index, child) -> None:
-        list.insert(self, index, child)
-        self._adopt(child)
-        _bump(self._owner)
-
-    def remove(self, child) -> None:
-        list.remove(self, child)
-        self._orphan(child)
-        _bump(self._owner)
-
-    def pop(self, index=-1):
-        child = list.pop(self, index)
-        self._orphan(child)
-        _bump(self._owner)
-        return child
-
-    def clear(self) -> None:
-        for child in self:
-            self._orphan(child)
-        list.clear(self)
-        _bump(self._owner)
-
-    def __setitem__(self, index, value) -> None:
-        if isinstance(index, slice):
-            removed = list.__getitem__(self, index)
-            value = list(value)
-            list.__setitem__(self, index, value)
-            for child in removed:
-                self._orphan(child)
-            for child in value:
-                self._adopt(child)
-        else:
-            removed = list.__getitem__(self, index)
-            list.__setitem__(self, index, value)
-            self._orphan(removed)
-            self._adopt(value)
-        _bump(self._owner)
-
-    def __delitem__(self, index) -> None:
-        removed = list.__getitem__(self, index)
-        if isinstance(index, slice):
-            for child in removed:
-                self._orphan(child)
-        else:
-            self._orphan(removed)
-        list.__delitem__(self, index)
-        _bump(self._owner)
-
-    def __iadd__(self, items):
-        self.extend(items)
-        return self
-
-    def __imul__(self, count):
-        if count <= 0:
-            self.clear()
-        elif count > 1:
-            self.extend(list(self) * (count - 1))
-        return self
-
-    def sort(self, *args, **kwargs) -> None:
-        list.sort(self, *args, **kwargs)
-        _bump(self._owner)
-
-    def reverse(self) -> None:
-        list.reverse(self)
-        _bump(self._owner)
+def _refuse(*_args, **_kwargs):
+    raise TypeError(_FROZEN)
 
 
-class _Attrs(dict):
-    """Attribute map whose writes bump the owning element's version."""
+class _FrozenChildren(tuple):
+    """A frozen node's children: a tuple whose list mutators raise TypeError."""
 
-    __slots__ = ("_owner",)
+    __slots__ = ()
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
+    append = extend = insert = remove = pop = clear = sort = reverse = _refuse
 
-    def __setitem__(self, key, value) -> None:
-        dict.__setitem__(self, key, value)
-        _bump(self._owner)
 
-    def __delitem__(self, key) -> None:
-        dict.__delitem__(self, key)
-        _bump(self._owner)
+class _FrozenAttributes(dict):
+    """A frozen node's attributes: a dict whose mutators raise TypeError."""
 
-    def pop(self, *args):
-        result = dict.pop(self, *args)
-        _bump(self._owner)
-        return result
-
-    def popitem(self):
-        result = dict.popitem(self)
-        _bump(self._owner)
-        return result
-
-    def clear(self) -> None:
-        dict.clear(self)
-        _bump(self._owner)
-
-    def update(self, *args, **kwargs) -> None:
-        dict.update(self, *args, **kwargs)
-        _bump(self._owner)
-
-    def setdefault(self, key, default=None):
-        result = dict.setdefault(self, key, default)
-        _bump(self._owner)
-        return result
+    __slots__ = ()
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    pop = popitem = clear = update = setdefault = _refuse
 
 
 class XmlElement:
-    """A namespace-aware XML element node."""
+    """A namespace-aware XML element node.
 
-    __slots__ = ("tag", "_attributes", "_children", "_version", "_parents", "_memo", "__weakref__")
+    ``_memo`` is None while the node is mutable; :func:`freeze` sets it to
+    the dict that holds the node's memoized derived values.
+    """
+
+    __slots__ = ("tag", "_attributes", "_children", "_memo")
 
     def __init__(
         self,
@@ -203,62 +68,41 @@ class XmlElement:
         children: Iterable["XmlElement | str"] | None = None,
     ) -> None:
         self.tag = QName.parse(tag)
-        attrs = _Attrs()
-        attrs._owner = self
-        self._attributes: _Attrs = attrs
-        kids = _Children()
-        kids._owner = self
-        self._children: _Children = kids
-        self._version = 0
-        self._parents: list = []
+        self._attributes: dict = (
+            {QName.parse(key): str(value) for key, value in attributes.items()}
+            if attributes
+            else {}
+        )
+        self._children: list = []
         self._memo: dict | None = None
-        if attributes:
-            for key, value in attributes.items():
-                dict.__setitem__(attrs, QName.parse(key), str(value))
         if children is not None:
             for child in children:
                 self.append(child)
 
-    # -- tracked state ------------------------------------------------------
+    @property
+    def frozen(self) -> bool:
+        """True once :func:`freeze` has made this subtree read-only."""
+        return self._memo is not None
 
     @property
-    def attributes(self) -> "_Attrs":
+    def attributes(self) -> dict:
         return self._attributes
 
     @attributes.setter
     def attributes(self, value: dict) -> None:
-        if value is self._attributes:
-            return
-        attrs = _Attrs()
-        attrs._owner = self
-        for key, val in value.items():
-            dict.__setitem__(attrs, QName.parse(key), val)
-        self._attributes = attrs
-        _bump(self)
+        if self._memo is not None:
+            _refuse()
+        self._attributes = {QName.parse(key): val for key, val in value.items()}
 
     @property
-    def children(self) -> "_Children":
+    def children(self) -> list:
         return self._children
 
     @children.setter
     def children(self, value: Iterable["XmlElement | str"]) -> None:
-        current = self._children
-        if value is current:
-            return
-        for child in current:
-            current._orphan(child)
-        kids = _Children()
-        kids._owner = self
-        list.extend(kids, value)
-        for child in kids:
-            kids._adopt(child)
-        self._children = kids
-        _bump(self)
-
-    @property
-    def version(self) -> int:
-        """Mutation counter; changes whenever this subtree's content may have."""
-        return self._version
+        if self._memo is not None:
+            _refuse()
+        self._children = list(value)
 
     # -- construction -----------------------------------------------------
 
@@ -362,29 +206,21 @@ class XmlElement:
         return True
 
     def copy(self) -> "XmlElement":
-        """Deep copy (aliased subtrees become distinct copies, one per use).
+        """Deep mutable copy (aliased subtrees become distinct copies, one per use).
 
-        Memoized derived values (content keys, namespace tuples) are pure
-        functions of content, and a copy has identical content — so they
-        carry over to the clones, which keeps serializing a cached-and-
-        copied subtree cheap.
+        The copy of a frozen tree is an ordinary mutable tree with no memos.
         """
-        clone_root = _blank(self.tag, self._attributes)
-        if self._memo:
-            clone_root._memo = dict(self._memo)
+        clone_root = _blank(self.tag, dict(self._attributes))
         stack = [(self, clone_root)]
         while stack:
             src, dst = stack.pop()
             dst_children = dst._children
             for child in src._children:
                 if isinstance(child, str):
-                    list.append(dst_children, child)
+                    dst_children.append(child)
                 else:
-                    child_clone = _blank(child.tag, child._attributes)
-                    if child._memo:
-                        child_clone._memo = dict(child._memo)
-                    child_clone._parents.append(_ref(dst))
-                    list.append(dst_children, child_clone)
+                    child_clone = _blank(child.tag, dict(child._attributes))
+                    dst_children.append(child_clone)
                     stack.append((child, child_clone))
         return clone_root
 
@@ -393,18 +229,30 @@ class XmlElement:
 
 
 def _blank(tag: QName, attributes: dict) -> XmlElement:
-    """Fast internal constructor: pre-parsed tag, pre-validated attributes."""
+    """Fast internal constructor: pre-parsed tag, adopts ``attributes`` as is."""
     node = XmlElement.__new__(XmlElement)
     node.tag = tag
-    attrs = _Attrs(attributes)
-    attrs._owner = node
-    node._attributes = attrs
-    kids = _Children()
-    kids._owner = node
-    node._children = kids
-    node._version = 0
-    node._parents = []
+    node._attributes = attributes
+    node._children = []
     node._memo = None
+    return node
+
+
+def freeze(node: XmlElement) -> XmlElement:
+    """Make ``node``'s subtree read-only in place and return ``node``.
+
+    Iterative, and stops at subtrees that are already frozen, so freezing
+    an envelope whose Body was frozen for signing touches only the rest.
+    """
+    stack = [node]
+    while stack:
+        el = stack.pop()
+        if el._memo is not None:
+            continue
+        el._memo = {}
+        children = el._children = _FrozenChildren(el._children)
+        el._attributes = _FrozenAttributes(el._attributes)
+        stack.extend([c for c in children if isinstance(c, XmlElement)])
     return node
 
 
@@ -415,8 +263,9 @@ def content_key(node: XmlElement) -> tuple:
     """A structural key: equal for trees with identical canonical content.
 
     The key is ``(hash, node_count, text_length)`` computed bottom-up from
-    tags, sorted attributes, and child keys/text, and memoized per element
-    (dropped by any version bump).  Equal trees — even freshly parsed,
+    tags, sorted attributes, and child keys/text.  It is memoized on frozen
+    nodes only; a mutable node's key is recomputed on every call, so any
+    edit shows in the next key.  Equal trees — even freshly parsed,
     distinct objects — get equal keys, which is what lets the c14n/DSig
     caches hit on the receiving side of a round trip.  Attribute *order* is
     deliberately ignored (canonical output sorts attributes); text-node
@@ -428,46 +277,50 @@ def content_key(node: XmlElement) -> tuple:
         key = memo.get(_CK)
         if key is not None:
             return key
-    stack = [node]
+    # Post-order walk.  An element is expanded into a ``(element, start)``
+    # finishing entry plus its element children; when the entry pops, its
+    # children's keys are ``done[start:]``, in document order.
+    done: list[tuple] = []
+    stack: list = [node]
     while stack:
-        el = stack[-1]
+        el = stack.pop()
+        if el.__class__ is tuple:
+            el, start = el
+            child_keys = done[start:]
+            del done[start:]
+            parts: list = [el.tag._key]
+            attrs = el._attributes
+            if attrs:
+                for name in sorted(attrs, key=_sort_key):
+                    parts.append(name._key)
+                    parts.append(attrs[name])
+            node_count = 1
+            text_length = 0
+            i = 0
+            for c in el._children:
+                if isinstance(c, str):
+                    parts.append(c)
+                    text_length += len(c)
+                else:
+                    child_key = child_keys[i]
+                    i += 1
+                    parts.append(child_key)
+                    node_count += child_key[1]
+                    text_length += child_key[2]
+            key = (hash(tuple(parts)), node_count, text_length)
+            if el._memo is not None:
+                el._memo[_CK] = key
+            done.append(key)
+            continue
         memo = el._memo
-        if memo is not None and _CK in memo:
-            stack.pop()
-            continue
-        children = el._children
-        pending = [
-            c
-            for c in children
-            if isinstance(c, XmlElement) and (c._memo is None or _CK not in c._memo)
-        ]
-        if pending:
-            stack.extend(pending)
-            continue
-        parts: list = [el.tag._key]
-        attrs = el._attributes
-        if attrs:
-            for name in sorted(attrs, key=_sort_key):
-                parts.append(name._key)
-                parts.append(attrs[name])
-        node_count = 1
-        text_length = 0
-        for c in children:
-            if isinstance(c, str):
-                parts.append(c)
-                text_length += len(c)
-            else:
-                child_key = c._memo[_CK]
-                parts.append(child_key)
-                node_count += child_key[1]
-                text_length += child_key[2]
-        key = (hash(tuple(parts)), node_count, text_length)
-        if memo is None:
-            el._memo = {_CK: key}
-        else:
-            memo[_CK] = key
-        stack.pop()
-    return node._memo[_CK]
+        if memo is not None:
+            key = memo.get(_CK)
+            if key is not None:
+                done.append(key)
+                continue
+        stack.append((el, len(done)))
+        stack.extend([c for c in reversed(el._children) if isinstance(c, XmlElement)])
+    return done[0]
 
 
 def _normalized_children(node: XmlElement) -> list["XmlElement | str"]:

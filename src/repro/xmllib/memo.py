@@ -16,11 +16,12 @@ module owns the machinery every cache in ``repro.xmllib`` and
   ``memo`` experiment can show a run's virtual costs do not depend on
   caching.
 
-Every cached value is a pure function of its key, and keys incorporate
-either content hashes or the mutation version counters maintained by
-:class:`~repro.xmllib.element.XmlElement` — mutating a tree can never
-yield a stale cached answer, only a miss (the property tests in
-``tests/xmllib/test_memo_coherence.py`` pin this down).  The caches are
+Every cached value is a pure function of its key, and keys are content
+keys: a frozen tree's key is memoized and can never go stale because the
+tree cannot change, and a mutable tree's key is recomputed on each call —
+so mutating a tree can never yield a stale cached answer, only a miss
+(the property tests in ``tests/xmllib/test_memo_coherence.py`` pin this
+down).  The caches are
 process-wide and shared across simulated hosts; that is sound for the
 same reason ``rsa._KEY_CACHE`` is: the worst outcome of sharing is a
 duplicated computation, never divergent state, and no virtual-clock cost
@@ -44,8 +45,8 @@ def caching_disabled():
     """Run with every content cache bypassed.
 
     Global caches are cleared on entry so a following cached measurement
-    starts cold and earns its hits; element-level memos are version-keyed
-    and need no clearing to stay correct.
+    starts cold and earns its hits; element-level memos live only on
+    frozen trees, whose content cannot change, so they need no clearing.
     """
     global _ENABLED
     previous = _ENABLED

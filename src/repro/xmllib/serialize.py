@@ -7,12 +7,12 @@ stable and easy to read in logs.  The canonical form used for signing
 lives in :mod:`repro.xmllib.c14n`.
 
 The writer is iterative (an explicit op stack), so ~1000-deep documents
-serialize without hitting the interpreter recursion limit, and it reuses
-serialized fragments for repeated envelope skeletons: subtrees at depth
-1-2 under the serialized root (SOAP headers, the Body payload) are cached
-by ``(content_key, namespace-allocation token)``.  The token is the
-whole-document first-use URI tuple, which fully determines the prefix
-map, so a cached fragment is only ever replayed under the identical
+serialize without hitting the interpreter recursion limit, and for frozen
+trees it reuses serialized fragments of repeated envelope skeletons:
+subtrees at depth 1-2 under the serialized root (SOAP headers, the Body
+payload) are cached by ``(content_key, namespace-allocation token)``.  The
+token is the whole-document first-use URI tuple, which fully determines the
+prefix map, so a cached fragment is only ever replayed under the identical
 prefix allocation; fragments below the root never contain ``xmlns``
 declarations.  Output is byte-identical to the uncached writer.
 """
@@ -22,7 +22,7 @@ from __future__ import annotations
 from operator import attrgetter
 
 from repro.xmllib import ns as nsmod
-from repro.xmllib.element import _CK, XmlElement
+from repro.xmllib.element import _CK, XmlElement, content_key
 from repro.xmllib.memo import ContentCache, memo_enabled
 from repro.xmllib.qname import QName
 
@@ -54,29 +54,24 @@ _NS = "ns"
 
 
 def _ns_tuple(root: XmlElement) -> tuple[str, ...]:
-    """First-use document-order URI tuple, memoized per element.
+    """First-use document-order URI tuple of a frozen tree, memoized per node.
 
     Computed bottom-up: a node's tuple is the first-use dedup of its own
     tag/attribute URIs followed by its children's tuples, which equals the
-    preorder walk's result.  Memo entries live in the element's version
-    -keyed memo dict, so any mutation below a node drops its tuple.
+    preorder walk's result.  Every node under a frozen root is frozen, so
+    every node has a memo dict to hold its tuple.
     """
-    memo = root._memo
-    if memo is not None:
-        cached = memo.get(_NS)
-        if cached is not None:
-            return cached
+    cached = root._memo.get(_NS)
+    if cached is not None:
+        return cached
     stack = [root]
     while stack:
         el = stack[-1]
-        memo = el._memo
-        if memo is not None and _NS in memo:
+        if _NS in el._memo:
             stack.pop()
             continue
         pending = [
-            c
-            for c in el._children
-            if isinstance(c, XmlElement) and (c._memo is None or _NS not in c._memo)
+            c for c in el._children if isinstance(c, XmlElement) and _NS not in c._memo
         ]
         if pending:
             stack.extend(pending)
@@ -91,10 +86,7 @@ def _ns_tuple(root: XmlElement) -> tuple[str, ...]:
             if isinstance(c, XmlElement):
                 for uri in c._memo[_NS]:
                     seen.setdefault(uri, None)
-        uris = tuple(seen)
-        if el._memo is None:
-            el._memo = {}
-        el._memo[_NS] = uris
+        el._memo[_NS] = tuple(seen)
         stack.pop()
     return root._memo[_NS]
 
@@ -118,7 +110,7 @@ def _collect_plain(root: XmlElement) -> list[str]:
 
 def collect_namespaces(root: XmlElement) -> list[str]:
     """Namespace URIs used anywhere in the tree, in first-use document order."""
-    if memo_enabled():
+    if root._memo is not None and memo_enabled():
         return list(_ns_tuple(root))
     return _collect_plain(root)
 
@@ -157,14 +149,14 @@ _FRAGMENT_MAX_DEPTH = 2
 def serialize(root: XmlElement, *, xml_declaration: bool = False) -> str:
     """Serialize to compact XML with all namespaces declared on the root.
 
-    Fragment reuse is opportunistic: it engages only when the root's
-    content key is already memoized (the SOAP message path computes it
-    before serializing — see ``WireMessage.from_envelope``), so one-shot
-    trees like xmldb documents pay no caching overhead at all.
+    Fragment reuse engages only for frozen trees (the SOAP message path
+    freezes every envelope it sends — see ``WireMessage.from_envelope``),
+    so one-shot mutable trees like xmldb documents pay no caching overhead.
     """
-    memo = root._memo
-    warm = memo is not None and _CK in memo and memo_enabled()
+    warm = root._memo is not None and memo_enabled()
     if warm:
+        # Keys every node of the frozen tree, so _write reads them directly.
+        content_key(root)
         uris = _ns_tuple(root)
     else:
         uris = tuple(_collect_plain(root))
@@ -203,23 +195,19 @@ def _write(
             fragment = "".join(parts[depth:])
             del parts[depth:]
             append(fragment)
-            _FRAGMENTS.put((payload._memo[_CK], token), fragment)
+            _FRAGMENTS.put((payload, token), fragment)
             continue
         el = payload
         if warm and _FRAGMENT_MIN_DEPTH <= depth <= _FRAGMENT_MAX_DEPTH:
-            # Only subtrees with a memoized content key participate (a
-            # mutated-since-keying subtree has none — it is written plainly).
-            memo = el._memo
-            key = memo.get(_CK) if memo is not None else None
-            if key is not None:
-                fragment = _FRAGMENTS.get((key, token))
-                if fragment is not None:
-                    append(fragment)
-                    continue
-                # Everything parts gains from here until this entry pops is
-                # the element's complete markup; _STORE reuses `depth` as
-                # the starting index into parts.
-                stack.append((_STORE, el, len(parts)))
+            key = el._memo[_CK]
+            fragment = _FRAGMENTS.get((key, token))
+            if fragment is not None:
+                append(fragment)
+                continue
+            # Everything parts gains from here until this entry pops is the
+            # element's complete markup; _STORE carries the fragment's key
+            # and reuses `depth` as the starting index into parts.
+            stack.append((_STORE, key, len(parts)))
         tag = _qname_str(el.tag, prefixes)
         append(f"<{tag}")
         if depth == 0:

@@ -2,9 +2,13 @@
 
 import pytest
 
+from repro.container.security import SecurityMode
 from repro.soap import SoapFault, WireMessage, build_envelope, parse_envelope
-from repro.soap.envelope import build_fault_envelope
+from repro.soap.envelope import Envelope, build_fault_envelope
 from repro.xmllib import element, ns, serialize
+from repro.xmllib.memo import caching_disabled
+
+from tests.container.test_container import make_deployment
 
 
 class TestEnvelope:
@@ -35,8 +39,33 @@ class TestEnvelope:
         )
         header = envelope.header
         assert header.tag.local == "Header"
-        # inserted before the body
-        assert envelope.root.element_children().__next__().tag.local == "Header"
+        assert list(header.children) == []
+        # Detached: reading the header leaves the envelope as it was.
+        assert [c.tag.local for c in envelope.root.element_children()] == ["Body"]
+        with pytest.raises(TypeError):
+            header.append(element("{urn:h}H"))
+
+
+class TestHeaderlessInbound:
+    @pytest.mark.parametrize("mode", [SecurityMode.NONE, SecurityMode.X509])
+    def test_processed_alike_shared_and_reparsed(self, mode):
+        def exchange() -> str:
+            deployment, service, _ = make_deployment(mode)
+            _, container = deployment.resolve(service.address)
+            body = element(f"{{{ns.SOAP}}}Body", element("{urn:test}Echo", "x"))
+            request = Envelope(element(f"{{{ns.SOAP}}}Envelope", body))
+            try:
+                outcome = container.handle(WireMessage.from_envelope(request)).text
+            except ValueError as exc:  # no wsa:To/Action to route by
+                outcome = repr(exc)
+            assert [c.tag.local for c in request.root.element_children()] == ["Body"]
+            return outcome
+
+        shared = exchange()
+        with caching_disabled():
+            reparsed = exchange()
+        assert shared == reparsed
+        assert "wsa:To" in shared or WireMessage(shared).parse().is_fault()
 
 
 class TestFaults:
@@ -72,6 +101,20 @@ class TestWireMessage:
         wire = WireMessage.from_envelope(build_envelope([], [element("a", "é")]))
         assert wire.n_bytes == len(wire.text.encode("utf-8"))
         assert wire.n_kb == pytest.approx(wire.n_bytes / 1024)
+
+    def test_receipt_shares_the_frozen_sent_tree(self):
+        envelope = build_envelope([element("{urn:h}H", "h")], [element("{urn:b}Op", "y")])
+        received = WireMessage.from_envelope(envelope).parse()
+        assert received.root is envelope.root
+        assert received.root.frozen and envelope.body_child().frozen
+
+    def test_reparsed_receipt_is_frozen_and_equal(self):
+        envelope = build_envelope([element("{urn:h}H", "h")], [element("{urn:b}Op", "y")])
+        with caching_disabled():
+            received = WireMessage.from_envelope(envelope).parse()
+        assert received.root is not envelope.root
+        assert received.root.frozen and received.body_child().frozen
+        assert received.root.structurally_equal(envelope.root)
 
     def test_xml_declaration_stripped_on_parse(self):
         wire = WireMessage.from_envelope(build_envelope([], [element("a")]))

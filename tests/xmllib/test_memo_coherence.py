@@ -1,13 +1,14 @@
 """Mutation-safe memoization: cached bytes must never go stale.
 
-The element tree carries a version counter that every mutation bumps (and
-propagates to all ancestors), and the c14n/DSig caches key on the
-content key derived from it.  These tests pin the contract from both
-sides: version bookkeeping at the unit level, and a seeded property test
-asserting that *any* mutation after a cached ``canonicalize()`` /
-``sign_element()`` produces output byte-identical to ground truth —
-the same computation run under :func:`caching_disabled` on a fresh deep
-copy — including mutations made through aliased child references.
+The c14n/DSig caches key on content keys.  A mutable tree memoizes
+nothing, so its key is recomputed and follows every edit; a frozen tree
+memoizes its keys, and every mutator on it raises.  These tests pin the
+contract from both sides: freezing at the unit level, and a seeded
+property test asserting that *any* mutation after a cached
+``canonicalize()`` / ``sign_element()`` produces output byte-identical to
+ground truth — the same computation run under :func:`caching_disabled` on
+a fresh deep copy — including mutations made through aliased child
+references.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ import random
 import pytest
 
 from repro.crypto import CertificateAuthority, DsigError, sign_element, verify_element
+from repro.soap import WireMessage, build_envelope
 from repro.xmllib import QName
 from repro.xmllib.c14n import canonicalize
-from repro.xmllib.element import XmlElement, content_key, element
+from repro.xmllib.element import XmlElement, content_key, element, freeze
 from repro.xmllib.memo import caching_disabled
 
 
@@ -33,47 +35,101 @@ def identity(ca):
     return ca.issue_identity("alice", seed=11)
 
 
+#: Every way to edit a node, each applied to a frozen node must raise.
+MUTATORS = {
+    "append": lambda n: n.append("x"),
+    "append_element": lambda n: n.append(element("{u}new")),
+    "extend": lambda n: n.extend(["x"]),
+    "set": lambda n: n.set("{u}a", "v"),
+    "children=": lambda n: setattr(n, "children", []),
+    "attributes=": lambda n: setattr(n, "attributes", {}),
+    "children.append": lambda n: n.children.append("x"),
+    "children.extend": lambda n: n.children.extend(["x"]),
+    "children.insert": lambda n: n.children.insert(0, "x"),
+    "children.remove": lambda n: n.children.remove(n.children[0]),
+    "children.pop": lambda n: n.children.pop(),
+    "children.clear": lambda n: n.children.clear(),
+    "children.sort": lambda n: n.children.sort(key=str),
+    "children.reverse": lambda n: n.children.reverse(),
+    "children[i]=": lambda n: n.children.__setitem__(0, "x"),
+    "del children[i]": lambda n: n.children.__delitem__(0),
+    "children+=": lambda n: n.children.__iadd__(["x"]),
+    "attributes[k]=": lambda n: n.attributes.__setitem__(QName.parse("a"), "2"),
+    "del attributes[k]": lambda n: n.attributes.__delitem__(QName.parse("a")),
+    "attributes.update": lambda n: n.attributes.update({QName.parse("b"): "2"}),
+    "attributes.pop": lambda n: n.attributes.pop(QName.parse("a")),
+    "attributes.popitem": lambda n: n.attributes.popitem(),
+    "attributes.clear": lambda n: n.attributes.clear(),
+    "attributes.setdefault": lambda n: n.attributes.setdefault(QName.parse("b"), "2"),
+    "attributes|=": lambda n: n.attributes.__ior__({QName.parse("b"): "2"}),
+}
+
+
+def sample_tree() -> XmlElement:
+    return element(
+        "{u}root", element("{u}child", "x", attrs={"a": "1"}), "mid", attrs={"a": "1"}
+    )
+
+
+class TestFrozen:
+    @pytest.mark.parametrize("name", sorted(MUTATORS))
+    def test_every_mutator_raises(self, name):
+        tree = freeze(sample_tree())
+        key = content_key(tree)
+        text = canonicalize(tree)
+        for node in (tree, tree.children[0]):
+            with pytest.raises(TypeError, match="frozen"):
+                MUTATORS[name](node)
+        assert content_key(tree) == key
+        with caching_disabled():
+            assert canonicalize(tree) == text
+
+    def test_every_descendant_is_frozen(self):
+        tree = freeze(sample_tree())
+        assert tree.frozen and all(node.frozen for node in tree.descendants())
+
+    def test_freeze_stops_at_frozen_subtrees(self):
+        child = freeze(element("{u}child", "x"))
+        key = content_key(child)
+        tree = freeze(element("{u}root", child))
+        assert tree.children[0] is child and content_key(child) == key
+
+    def test_mutable_nodes_memoize_nothing(self):
+        tree = sample_tree()
+        content_key(tree)
+        canonicalize(tree)
+        assert not tree.frozen and all(not node.frozen for node in tree.descendants())
+
+    def test_child_shared_by_two_sent_envelopes_is_read_only(self):
+        shared = element("{u}shared", "payload")
+        first = build_envelope([], [element("{u}a", shared)])
+        second = build_envelope([], [element("{u}b", shared)])
+        texts = [WireMessage.from_envelope(env).text for env in (first, second)]
+        alias = second.body_child().children[0]
+        assert alias is shared
+        for name, mutate in MUTATORS.items():
+            with pytest.raises(TypeError):
+                mutate(alias)
+        for env, text in zip((first, second), texts):
+            assert WireMessage.from_envelope(env).text == text
+
+    def test_copy_is_mutable_with_an_equal_key(self):
+        tree = freeze(sample_tree())
+        key = content_key(tree)
+        clone = tree.copy()
+        assert not clone.frozen and all(not node.frozen for node in clone.descendants())
+        assert content_key(clone) == key
+        clone.children[0].append("edited")
+        clone.set("{u}b", "2")
+        assert content_key(clone) != key
+        assert content_key(tree) == key
+        with caching_disabled():
+            assert canonicalize(tree) == canonicalize(sample_tree())
+
+
 class TestVersionCounter:
-    def test_append_bumps_self_and_ancestors(self):
-        child = element("{u}child")
-        root = element("{u}root", child)
-        before_root, before_child = root.version, child.version
-        child.append("text")
-        assert child.version > before_child
-        assert root.version > before_root
-
-    def test_attribute_set_bumps(self):
-        root = element("{u}root")
-        before = root.version
-        root.set("{u}attr", "v")
-        assert root.version > before
-
-    def test_children_reassignment_bumps(self):
-        root = element("{u}root", element("{u}old"))
-        before = root.version
-        root.children = [element("{u}new")]
-        assert root.version > before
-
-    def test_children_inplace_ops_bump(self):
-        root = element("{u}root")
-        v0 = root.version
-        root.children += [element("{u}a")]
-        v1 = root.version
-        assert v1 > v0
-        root.children.insert(0, "lead")
-        v2 = root.version
-        assert v2 > v1
-        root.children.pop()
-        assert root.version > v2
-
-    def test_attrs_dict_mutators_bump(self):
-        root = element("{u}root", attrs={"a": "1"})
-        v0 = root.version
-        root.attributes.update({QName.parse("b"): "2"})
-        v1 = root.version
-        assert v1 > v0
-        root.attributes.pop(next(iter(root.attributes)))
-        assert root.version > v1
+    """A mutable tree keeps no memo, so its content key is its version:
+    any edit, even through an aliased child, changes the next key."""
 
     def test_content_key_changes_on_mutation(self):
         root = element("{u}root", element("{u}child", "x"))
@@ -183,12 +239,16 @@ class TestMutationCoherence:
             verify_element(body, signature, keypair.public)
 
     def test_signature_cache_returns_private_copies(self, identity):
+        """The cache hands every caller the same frozen signature, which is
+        as private as a copy: no caller can change what another gets."""
         cert, keypair = identity
         body = element("{urn:x}Body", "x")
         first = sign_element(body, keypair, cert)
+        expected = canonicalize(first)
+        with pytest.raises(TypeError):
+            first.set("tampered", "1")
+        with pytest.raises(TypeError):
+            first.children[0].append("tampered")
         second = sign_element(body, keypair, cert)
-        assert first is not second
-        assert canonicalize(first) == canonicalize(second)
-        first.set("tampered", "1")  # mutating one must not poison the cache
-        third = sign_element(body, keypair, cert)
-        assert canonicalize(third) == canonicalize(second)
+        assert second is first
+        assert canonicalize(second) == expected

@@ -2,7 +2,7 @@
 
 This is the property the message path's wall-clock fast paths lean on
 (DESIGN.md §16): a received tree — whether re-parsed from the wire bytes
-or materialized as a verified deep copy — must canonicalize to the same
+or handed over as the sender's frozen tree — must canonicalize to the same
 bytes as the tree that was sent, or signatures would break in transit.
 The fuzz sweeps seeded random documents plus the known hazard corners:
 mixed content (text interleaved with elements), namespaces used only by
